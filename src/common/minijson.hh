@@ -85,13 +85,22 @@ struct Value
  * The recursive-descent parser behind parse(). Accepts exactly one
  * RFC 8259 value followed by optional whitespace; anything else -
  * trailing content, comments, unquoted keys, leading '+', NaN/Inf
- * literals, raw control characters, non-ASCII \\u escapes - throws
- * std::runtime_error naming the byte offset. Construct with the text
- * (kept by reference; must outlive the Parser) and call parse() once.
+ * literals, raw control characters, non-ASCII \\u escapes, arrays and
+ * objects nested deeper than maxDepth - throws std::runtime_error
+ * naming the byte offset. Construct with the text (kept by reference;
+ * must outlive the Parser) and call parse() once.
  */
 class Parser
 {
   public:
+    /**
+     * Nesting limit. The documents this repo writes nest under ten
+     * levels; the cap keeps the recursion (and the recursive Value
+     * destructor) bounded on hostile input such as a campaign frame
+     * of 100 000 '['.
+     */
+    static constexpr std::size_t maxDepth = 256;
+
     explicit Parser(const std::string &text) : text(text) {}
 
     Value
@@ -152,9 +161,15 @@ class Parser
         skipWs();
         switch (peek()) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            if (++depth > maxDepth) {
+                fail("nesting deeper than " + std::to_string(maxDepth) +
+                     " levels");
+            }
+            Value v = text[pos] == '{' ? parseObject() : parseArray();
+            --depth;
+            return v;
+          }
           case '"':
             return Value{parseString()};
           case 't':
@@ -319,6 +334,7 @@ class Parser
 
     const std::string &text;
     std::size_t pos = 0;
+    std::size_t depth = 0;  ///< arrays/objects open at pos
 };
 
 /**

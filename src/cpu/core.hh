@@ -36,6 +36,7 @@
 #ifndef VSV_CPU_CORE_HH
 #define VSV_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -134,6 +135,8 @@ class Core
         Completed    ///< result available; dependents may issue
     };
 
+    static constexpr std::uint32_t noLink = ~std::uint32_t{0};
+
     /** One RUU (register update unit) slot. */
     struct RuuEntry
     {
@@ -144,10 +147,18 @@ class Core
         InstSeqNum src2 = invalidSeqNum;
         Cycle completeCycle = 0;  ///< valid when Issued (non-memory)
         bool memPending = false;  ///< load in the memory system
-        bool memRetry = false;    ///< access rejected; retry issue
+        /** In-flight producers this entry still waits on (0-2). */
+        std::uint8_t pendingSrcs = 0;
         std::uint32_t lsqSlot = 0;
         BranchPrediction pred;    ///< branches only
         bool fetchMispredicted = false;
+        /**
+         * Head of this entry's consumer list, and this entry's own
+         * link in each producer's list (one per source operand). A
+         * link encodes `slot * 2 + operand`; noLink ends a list.
+         */
+        std::uint32_t firstConsumer = noLink;
+        std::uint32_t nextConsumer[2] = {noLink, noLink};
     };
 
     /** One LSQ slot. */
@@ -177,8 +188,20 @@ class Core
     void fetchStage(Tick now);
 
     RuuEntry &slot(InstSeqNum seq);
+    std::uint32_t slotIndex(InstSeqNum seq) const
+    {
+        return static_cast<std::uint32_t>(seq % config.ruuSize);
+    }
     bool producerReady(InstSeqNum producer) const;
-    bool operandsReady(const RuuEntry &entry) const;
+
+    /** Link source `operand` of the entry in `idx` to its producer
+     *  if that producer has not completed yet. */
+    void waitOn(InstSeqNum producer, std::uint32_t idx,
+                std::uint32_t operand);
+    /** A producer completed: wake the consumers waiting on it. */
+    void wakeConsumers(RuuEntry &producer);
+    /** Queue an Issued non-memory entry for its completeCycle. */
+    void scheduleCompletion(std::uint32_t idx);
 
     /** True if an older store to the same word can forward. */
     bool storeForwards(const RuuEntry &entry) const;
@@ -196,16 +219,13 @@ class Core
     PowerModel &power;
 
     Cycle cycleNum = 0;
-    Tick nowTick = 0;
 
     // Fetch state.
     std::deque<FetchedOp> fetchQueue;
     InstSeqNum nextFetchSeq = 1;
-    bool fetchBlockedOnBranch = false;
     InstSeqNum blockingBranch = invalidSeqNum;
     Cycle fetchResumeCycle = 0;
     bool icacheStall = false;
-    Cycle icacheReadyCycle = 0;
 
     // Window state.
     std::vector<RuuEntry> ruu;
@@ -217,6 +237,30 @@ class Core
     std::uint32_t lsqHead = 0;
     std::uint32_t lsqTail = 0;
     std::uint32_t lsqOccupancy = 0;
+
+    // Event-driven scheduling (DESIGN.md §5d). Both structures are
+    // bitmaps over RUU slots, scanned from the head slot so that bit
+    // order is age order.
+    /** Words per RUU-slot bitmap: ceil(ruuSize / 64). */
+    std::uint32_t slotWords;
+    /** Dispatched entries whose producers have all completed. */
+    std::vector<std::uint64_t> readyMask;
+    /**
+     * Completion wheel: bucket `c % wheelSize` holds the Issued
+     * non-memory entries whose completeCycle is c (or c plus a
+     * multiple of wheelSize, for latencies beyond one lap).
+     */
+    static constexpr std::uint32_t wheelSize = 64;
+    std::vector<std::uint64_t> wheel;  ///< wheelSize * slotWords words
+    std::uint64_t wheelOccupied = 0;   ///< bit b: bucket b non-empty
+
+    /** opTiming() per op class, looked up once at construction. */
+    std::array<OpTiming, static_cast<std::size_t>(OpClass::NumOpClasses)>
+        timingOf;
+    const OpTiming &timing(OpClass cls) const
+    {
+        return timingOf[static_cast<std::size_t>(cls)];
+    }
 
     /** Per-pool unit free times (pipeline cycles). */
     std::vector<std::vector<Cycle>> unitFreeAt;

@@ -23,8 +23,18 @@ PowerModel::PowerModel(const PowerModelConfig &config)
                "leakage fraction must be non-negative");
 
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
-        const StructureParams &params =
-            structureParams(static_cast<PowerStructure>(i));
+        const auto s = static_cast<PowerStructure>(i);
+        const StructureParams &params = structureParams(s);
+        structureDomain[i] = static_cast<std::uint8_t>(params.domain);
+        // The VDDL->VDDH path latches: in the high-power mode the
+        // regular (cheaper) latch set is selected; in the low-power
+        // mode the level-converting set is. Only the selected set
+        // burns power.
+        accessPricePj[1][i] = params.accessPj;
+        accessPricePj[0][i] = params.accessPj;
+        if (s == PowerStructure::LevelConverters)
+            accessPricePj[0][i] *= config.converterHighModeFactor;
+
         const double leak = config.leakageFraction * params.maxCyclePj;
         if (params.domain == VoltageDomain::Scaled)
             scaledLeakPerTick += leak;
@@ -33,7 +43,7 @@ PowerModel::PowerModel(const PowerModelConfig &config)
 
         // Gating-adjusted idle energy per clocked-but-unaccessed tick
         // at VDDH (the clock tree's entry is its per-edge energy).
-        if (static_cast<PowerStructure>(i) == PowerStructure::ClockTree) {
+        if (s == PowerStructure::ClockTree) {
             idleBasePj[i] = params.maxCyclePj;
             continue;
         }
@@ -56,6 +66,15 @@ PowerModel::PowerModel(const PowerModelConfig &config)
         }
         idleBasePj[i] = idle;
     }
+    cacheVoltageSq();
+}
+
+void
+PowerModel::cacheVoltageSq()
+{
+    // Energies are specified at VDDH; the Fixed domain stays there.
+    domainVoltageSq_[static_cast<std::size_t>(VoltageDomain::Scaled)] =
+        (pipelineVdd_ * pipelineVdd_) / vddHighSq;
 }
 
 void
@@ -68,6 +87,7 @@ PowerModel::setPipelineVdd(double vdd)
         // Banked idle ticks were accumulated at the old voltage.
         flushIdle();
         pipelineVdd_ = vdd;
+        cacheVoltageSq();
     }
 }
 
@@ -81,36 +101,6 @@ PowerModel::addRampEnergy(Tick when)
                       std::bit_cast<std::uint64_t>(rampEnergy.value()), 0,
                       traceCore);
     }
-}
-
-double
-PowerModel::domainVoltageSq(VoltageDomain domain) const
-{
-    if (domain == VoltageDomain::Fixed)
-        return 1.0;  // energies are specified at VDDH
-    return (pipelineVdd_ * pipelineVdd_) / vddHighSq;
-}
-
-void
-PowerModel::recordAccess(PowerStructure s, double count)
-{
-    for (std::size_t f = 0; f < fanoutCount_; ++f)
-        fanout_[f]->recordAccess(s, count);
-
-    const auto idx = static_cast<std::size_t>(s);
-    const StructureParams &params = structureParams(s);
-
-    accessesThisTick[idx] += count;
-    anyAccessThisTick = true;
-
-    double per_access = params.accessPj;
-    // The VDDL->VDDH path latches: in the high-power mode the regular
-    // (cheaper) latch set is selected; in the low-power mode the
-    // level-converting set is. Only the selected set burns power.
-    if (s == PowerStructure::LevelConverters && !lowPowerPath)
-        per_access *= config_.converterHighModeFactor;
-
-    energyPj[idx] += count * per_access * domainVoltageSq(params.domain);
 }
 
 void
@@ -172,7 +162,6 @@ PowerModel::flushIdle() const
 
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const auto s = static_cast<PowerStructure>(i);
-        const StructureParams &params = structureParams(s);
         // The clock tree charges per pipeline edge; the L2 runs on the
         // full-speed clock every tick; everything else - including the
         // VDDH L1s and the register file - is clocked with the
@@ -181,8 +170,8 @@ PowerModel::flushIdle() const
             s == PowerStructure::L2Cache ? all : edges;
         if (n == 0 || idleBasePj[i] == 0.0)
             continue;
-        self->energyPj[i] += static_cast<double>(n) * idleBasePj[i] *
-                             domainVoltageSq(params.domain);
+        self->energyPj[i] +=
+            static_cast<double>(n) * idleBasePj[i] * voltageSq(i);
     }
 }
 
@@ -200,16 +189,13 @@ PowerModel::chargeActiveTick(bool pipeline_edge)
 
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const auto s = static_cast<PowerStructure>(i);
-        const StructureParams &params = structureParams(s);
 
         // The global clock tree burns a full "cycle" of energy on
         // every pipeline clock edge; in the low-power mode edges come
         // at half rate, so clock power halves on top of the V^2 drop.
         if (s == PowerStructure::ClockTree) {
-            if (pipeline_edge) {
-                energyPj[i] += idleBasePj[i] *
-                               domainVoltageSq(params.domain);
-            }
+            if (pipeline_edge)
+                energyPj[i] += idleBasePj[i] * voltageSq(i);
             continue;
         }
 
@@ -224,7 +210,7 @@ PowerModel::chargeActiveTick(bool pipeline_edge)
         if (!clocked)
             continue;
 
-        energyPj[i] += idleBasePj[i] * domainVoltageSq(params.domain);
+        energyPj[i] += idleBasePj[i] * voltageSq(i);
     }
 }
 
@@ -258,14 +244,13 @@ PowerModel::peekTotalEnergyPj() const
                   scaledLeakPerTick * vratio * vratio * vratio);
     }
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
-        const auto s = static_cast<PowerStructure>(i);
-        const StructureParams &params = structureParams(s);
         const std::uint64_t n =
-            s == PowerStructure::L2Cache ? all : edges;
+            static_cast<PowerStructure>(i) == PowerStructure::L2Cache
+                ? all
+                : edges;
         if (n == 0 || idleBasePj[i] == 0.0)
             continue;
-        total += static_cast<double>(n) * idleBasePj[i] *
-                 domainVoltageSq(params.domain);
+        total += static_cast<double>(n) * idleBasePj[i] * voltageSq(i);
     }
     return total;
 }
@@ -328,6 +313,7 @@ PowerModel::restore(SnapshotReader &reader)
     reader.expectU32(static_cast<std::uint32_t>(numPowerStructures),
                      "power structure count");
     pipelineVdd_ = reader.f64();
+    cacheVoltageSq();
     lowPowerPath = reader.b();
     anyAccessThisTick = reader.b();
     for (double &accesses : accessesThisTick)

@@ -138,8 +138,22 @@ class PowerModel
         fanoutCount_ = n;
     }
 
-    /** Record `count` accesses to structure s during this tick. */
-    void recordAccess(PowerStructure s, double count = 1.0);
+    /**
+     * Record `count` accesses to structure s during this tick, charged
+     * at once at the structure's cached price and domain V^2.
+     */
+    void
+    recordAccess(PowerStructure s, double count = 1.0)
+    {
+        for (std::size_t f = 0; f < fanoutCount_; ++f)
+            fanout_[f]->recordAccess(s, count);
+
+        const auto idx = static_cast<std::size_t>(s);
+        accessesThisTick[idx] += count;
+        anyAccessThisTick = true;
+        energyPj[idx] +=
+            count * accessPricePj[lowPowerPath][idx] * voltageSq(idx);
+    }
 
     /**
      * Close out one global tick.
@@ -219,7 +233,14 @@ class PowerModel
     const PowerModelConfig &config() const { return config_; }
 
   private:
-    double domainVoltageSq(VoltageDomain domain) const;
+    /** V^2 relative to VDDH of structure i's domain, as cached. */
+    double voltageSq(std::size_t i) const
+    {
+        return domainVoltageSq_[structureDomain[i]];
+    }
+
+    /** Recompute the Scaled domain's V^2 ratio from pipelineVdd_. */
+    void cacheVoltageSq();
 
     /** Charge idle/clock/leakage energy for one access-carrying tick
      *  (the original per-tick loop). */
@@ -261,6 +282,18 @@ class PowerModel
      * cycle energy). Computed once in the constructor.
      */
     std::array<double, numPowerStructures> idleBasePj{};
+
+    /**
+     * Pricing caches, so the hot paths neither look up StructureParams
+     * nor divide. Per-access energy at VDDH, indexed by the latch-path
+     * selection (lowPowerPath) and then the structure: the converter
+     * factor is folded in. Per-domain V^2 / VDDH^2 (Fixed = 1),
+     * refreshed whenever the pipeline VDD changes. Charges still
+     * evaluate `count * per_access * v2` left to right.
+     */
+    std::array<std::array<double, numPowerStructures>, 2> accessPricePj{};
+    std::array<std::uint8_t, numPowerStructures> structureDomain{};
+    std::array<double, 2> domainVoltageSq_{1.0, 1.0};
 };
 
 } // namespace vsv

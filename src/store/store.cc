@@ -130,10 +130,21 @@ lzssCompress(const std::string &input)
 std::string
 lzssDecompress(const std::string &input, std::size_t expectedSize)
 {
+    // A 3-byte match token expands to at most kMaxMatch bytes and any
+    // other byte to at most one, so a larger declared size can only
+    // come from a corrupt header. Refuse it before reserving.
+    const std::size_t n = input.size();
+    const std::size_t maxOutput = n + (n / 3) * (kMaxMatch - 3);
+    if (expectedSize > maxOutput) {
+        throw std::runtime_error(
+            "lzss header declares " + std::to_string(expectedSize) +
+            " bytes; " + std::to_string(n) +
+            " stored bytes expand to at most " +
+            std::to_string(maxOutput));
+    }
     std::string out;
     out.reserve(expectedSize);
     std::size_t pos = 0;
-    const std::size_t n = input.size();
     while (pos < n) {
         const unsigned char flags =
             static_cast<unsigned char>(input[pos++]);

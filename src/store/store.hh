@@ -196,8 +196,9 @@ std::optional<std::string> lzssCompress(const std::string &input);
 
 /**
  * Inverse of lzssCompress. Throws std::runtime_error on any
- * malformed stream or when the output size differs from
- * `expectedSize` (the envelope records it).
+ * malformed stream, when the output size differs from
+ * `expectedSize` (the envelope records it), or - before allocating
+ * anything - when `expectedSize` exceeds what `input` can expand to.
  */
 std::string lzssDecompress(const std::string &input,
                            std::size_t expectedSize);

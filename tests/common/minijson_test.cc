@@ -86,6 +86,36 @@ TEST(MinijsonParse, ErrorsNameTheByteOffset)
     }
 }
 
+TEST(MinijsonParse, DeepNestingIsAParseErrorNotACrash)
+{
+    // 100 000 '[' used to recurse once per bracket and overflow the
+    // stack; a campaign peer could send exactly this as its HELLO.
+    const std::string hostile =
+        std::string(100000, '[') + std::string(100000, ']');
+    try {
+        minijson::parse(hostile);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("minijson: ", 0), 0u) << what;
+        EXPECT_NE(what.find("nesting"), std::string::npos) << what;
+    }
+    EXPECT_THROW(minijson::parse(std::string(100000, '{')),
+                 std::runtime_error);
+
+    // The limit is exact, and objects and arrays share it.
+    const std::size_t max = minijson::Parser::maxDepth;
+    EXPECT_NO_THROW(minijson::parse(std::string(max, '[') +
+                                    std::string(max, ']')));
+    EXPECT_THROW(minijson::parse(std::string(max + 1, '[') +
+                                 std::string(max + 1, ']')),
+                 std::runtime_error);
+    std::string mixed;
+    for (std::size_t i = 0; i < max; ++i)
+        mixed += i % 2 ? "[" : "{\"k\":";
+    EXPECT_THROW(minijson::parse(mixed + "[]"), std::runtime_error);
+}
+
 TEST(MinijsonWrite, CanonicalForm)
 {
     // Stable key order (std::map), no whitespace, minimal escapes.

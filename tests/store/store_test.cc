@@ -252,6 +252,49 @@ TEST(ResultStoreTest, CorruptEntryIsQuarantinedAndMissed)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ResultStoreTest, ForgedDeclaredSizeIsQuarantinedWithoutAllocating)
+{
+    // The envelope's uncompressed-size field is read before the
+    // checksum can be checked; a forged 2^40 must be refused as
+    // corrupt, not reserved.
+    constexpr std::uint64_t forged = std::uint64_t{1} << 40;
+    const std::string packed =
+        *detail::lzssCompress(std::string(4096, 'x'));
+    try {
+        detail::lzssDecompress(packed, forged);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("declares"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    const std::string dir = freshDir("vsv_store_forged_size");
+    StoreEntry entry = sampleEntry("0123456789abcdef");
+    entry.statsText += std::string(4096, '=');  // compressible
+    std::string path;
+    {
+        ResultStore store(dir);
+        store.insert(entry);
+        store.flush();
+        path = store.entryPath(entry.fingerprint);
+    }
+    std::string bytes = readFile(path);
+    ASSERT_EQ(bytes[5], 1) << "sample entry must be LZSS-coded";
+    for (int i = 0; i < 8; ++i)  // little-endian payload size field
+        bytes[8 + i] = static_cast<char>((forged >> (8 * i)) & 0xff);
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << bytes;
+    }
+
+    ResultStore store(dir);
+    EXPECT_FALSE(store.lookup(entry.fingerprint).has_value());
+    EXPECT_EQ(store.stats().corrupt, 1u);
+    EXPECT_TRUE(std::filesystem::exists(path + ".bad"));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ResultStoreTest, TornWriteIsQuarantinedAndMissed)
 {
     const std::string dir = freshDir("vsv_store_torn");

@@ -367,7 +367,11 @@ Simulator::warmup()
         return;
     VSV_ASSERT(!ran, "Simulator::warmup() after run()");
     materializeReplicas();
+    const auto start = std::chrono::steady_clock::now();
     functionalWarmup();
+    warmupSeconds_ = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
     warmedUp_ = true;
 }
 
@@ -833,6 +837,7 @@ Simulator::run()
     result.fastForwardedTicks = ffTicks;
     result.ffTickFraction = static_cast<double>(ffTicks) /
                             static_cast<double>(result.ticks);
+    result.warmupSeconds = warmupSeconds_;
 
     // Replica results share every front-end/timing field with the
     // leader (that sharing is exactly what batch formation proved

@@ -186,6 +186,8 @@ struct SimulationResult
     double kinstPerSec = 0.0;      ///< simulated kilo-instructions/s
     Tick fastForwardedTicks = 0;   ///< ticks skipped by fast-forward
     double ffTickFraction = 0.0;   ///< fastForwardedTicks / ticks
+    /** Host time of functional warmup; 0 when a snapshot was restored. */
+    double warmupSeconds = 0.0;
 };
 
 /** One wired-up simulation instance. */
@@ -373,6 +375,7 @@ class Simulator
     std::unique_ptr<MissFanout> missFanout;
 
     Tick warmupTicks = 0;
+    double warmupSeconds_ = 0.0;  ///< host time of functionalWarmup()
     bool warmedUp_ = false;
     bool ran = false;
 };

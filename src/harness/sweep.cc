@@ -633,6 +633,7 @@ writeSimulationResultJson(std::ostream &os, const SimulationResult &r)
        << ",\"kinstPerSec\":" << jsonNumber(r.kinstPerSec)
        << ",\"fastForwardedTicks\":" << r.fastForwardedTicks
        << ",\"ffTickFraction\":" << jsonNumber(r.ffTickFraction)
+       << ",\"warmupSeconds\":" << jsonNumber(r.warmupSeconds)
        << "}}";
 }
 
@@ -793,6 +794,9 @@ parseSimulationResultJson(const minijson::Value &r)
         out.fastForwardedTicks = static_cast<Tick>(
             numberOrZero(t.at("fastForwardedTicks")));
         out.ffTickFraction = numberOrZero(t.at("ffTickFraction"));
+        // Absent in manifests written before the warmup timer existed.
+        if (t.has("warmupSeconds"))
+            out.warmupSeconds = numberOrZero(t.at("warmupSeconds"));
     }
     return out;
 }

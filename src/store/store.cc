@@ -452,6 +452,11 @@ ResultStore::insert(StoreEntry entry)
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        // A fingerprint already queued or being persisted will land
+        // with these very bytes; a second writer would only race the
+        // first one's probe and rename.
+        if (!pending_.insert(entry.fingerprint).second)
+            return;
         queue_.push_back(std::move(entry));
     }
     workReady_.notify_one();
@@ -484,6 +489,7 @@ ResultStore::writerLoop()
         lock.unlock();
         persist(entry);
         lock.lock();
+        pending_.erase(entry.fingerprint);
         --inProgress_;
         if (queue_.empty() && inProgress_ == 0)
             queueIdle_.notify_all();

@@ -8,7 +8,9 @@
 
 #include <sstream>
 
+#include "common/minijson.hh"
 #include "harness/experiment.hh"
+#include "harness/warmup_cache.hh"
 
 namespace vsv
 {
@@ -123,6 +125,60 @@ TEST(SweepJsonTest, DocumentCarriesManifestAndEveryScalar)
     // The per-run result block is present too.
     EXPECT_NE(doc.find("\"result\":{\"benchmark\":\"mcf\""),
               std::string::npos);
+}
+
+/** The `warmupSeconds` member of a run's throughput block. */
+double
+exportedWarmupSeconds(const SimulationResult &result)
+{
+    std::ostringstream os;
+    writeSimulationResultJson(os, result);
+    const minijson::Value doc = minijson::parse(os.str());
+    const minijson::Value &throughput = doc.at("throughput");
+    EXPECT_TRUE(throughput.has("warmupSeconds"));
+    return throughput.at("warmupSeconds").num();
+}
+
+TEST(SweepJsonTest, ThroughputCarriesWarmupSeconds)
+{
+    // Two runs sharing one warmup: the first warms up, the second
+    // restores the snapshot and so spends no time in warmup.
+    const SimulationOptions options =
+        makeOptions("ammp", false, 5000, 20000);
+    SimulationOptions vsv = options;
+    vsv.vsv = fsmVsvConfig();
+    WarmupSnapshotCache cache;
+    const SweepOutcome warmed =
+        SweepRunner::runOne({"ammp/base", options}, &cache);
+    const SweepOutcome restored =
+        SweepRunner::runOne({"ammp/fsm", vsv}, &cache);
+    ASSERT_EQ(cache.stats().hits, 1u);
+
+    EXPECT_GE(exportedWarmupSeconds(warmed.result), 0.0);
+    EXPECT_GT(warmed.result.warmupSeconds, 0.0);
+    EXPECT_EQ(exportedWarmupSeconds(restored.result), 0.0);
+
+    // The sweep reader takes the field back.
+    std::ostringstream os;
+    writeSimulationResultJson(os, warmed.result);
+    EXPECT_EQ(parseSimulationResultJson(minijson::parse(os.str()))
+                  .warmupSeconds,
+              warmed.result.warmupSeconds);
+}
+
+TEST(SweepJsonTest, AbsentWarmupSecondsReadsAsZero)
+{
+    SimulationResult result;
+    result.warmupSeconds = 3.5;
+    std::ostringstream os;
+    writeSimulationResultJson(os, result);
+    std::string text = os.str();
+    const std::size_t at = text.find(",\"warmupSeconds\":");
+    ASSERT_NE(at, std::string::npos);
+    text.erase(at, text.find('}', at) - at);
+    EXPECT_EQ(parseSimulationResultJson(minijson::parse(text))
+                  .warmupSeconds,
+              0.0);
 }
 
 TEST(SweepJsonTest, GitDescribeIsStamped)

@@ -1,6 +1,5 @@
 #include "random.hh"
 
-#include <cmath>
 #include <cstddef>
 
 #include "logging.hh"
@@ -21,12 +20,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,49 +29,16 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(s);
 }
 
-std::uint64_t
-Rng::next()
+void
+Rng::zeroBound()
 {
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
+    VSV_ASSERT(false, "nextBounded() with zero bound");
 }
 
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
+void
+Rng::geometricOutOfRange()
 {
-    VSV_ASSERT(bound != 0, "nextBounded() with zero bound");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
+    VSV_ASSERT(false, "geometric parameter out of range");
 }
 
 std::array<std::uint64_t, 4>
@@ -100,9 +60,7 @@ Rng::nextGeometric(double p)
     VSV_ASSERT(p > 0.0 && p <= 1.0, "geometric parameter out of range");
     if (p >= 1.0)
         return 0;
-    const double u = nextDouble();
-    const double v = std::log1p(-u) / std::log1p(-p);
-    return static_cast<std::uint64_t>(v);
+    return nextGeometricLog(std::log1p(-p));
 }
 
 } // namespace vsv

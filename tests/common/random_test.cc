@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/random.hh"
@@ -101,6 +102,37 @@ TEST(RngTest, GeometricWithPOneIsZero)
     Rng rng(17);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(rng.nextGeometric(1.0), 0u);
+}
+
+TEST(RngTest, PrecomputedRangeDrawsLikeNextBounded)
+{
+    // Includes a bound just above 2^63, where about half of all raw
+    // draws are rejected.
+    for (const std::uint64_t bound :
+         {1ULL, 2ULL, 13ULL, 1000003ULL, (1ULL << 63) + 12345}) {
+        Rng a(5), b(5);
+        const BoundedRange range(bound);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.nextBounded(bound), b.nextBounded(range)) << bound;
+        EXPECT_EQ(a.next(), b.next());  // same number of raw draws
+    }
+}
+
+TEST(RngDeathTest, ZeroRangeFailsOnlyWhenDrawn)
+{
+    const BoundedRange zero(0);  // constructing it is fine
+    Rng rng(3);
+    EXPECT_DEATH(rng.nextBounded(zero), "zero bound");
+}
+
+TEST(RngTest, GeometricLogDrawsLikeNextGeometric)
+{
+    for (const double p : {0.9, 0.25, 1.0 / 3.0, 1.0 / 28.0}) {
+        Rng a(11), b(11);
+        const double log_q = std::log1p(-p);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.nextGeometric(p), b.nextGeometricLog(log_q)) << p;
+    }
 }
 
 } // namespace

@@ -381,13 +381,17 @@ TEST(CampaignEquivalence, DriftedWorkerIsRefused)
     camp.campaignListen = "127.0.0.1:0";
     camp.jsonPath = tempPath("campaign_drift.json");
 
-    // The campaign cannot complete before the healthy worker serves
-    // every run, and the drifted worker's handshake (pure message
-    // exchange) resolves long before that - so the refusal is always
-    // observed in the merged manifest.
+    // The healthy worker connects first, so the listener accepts it
+    // first, and it stays silent until the drifted worker has been
+    // refused. A refusal handled while no other worker is connected
+    // would (rightly) end the campaign as stalled, and the campaign
+    // cannot complete before the healthy worker serves every run, so
+    // the refusal is always observed in the merged manifest.
     std::thread driftedThread, healthyThread;
     const auto attach = [&](campaign::Coordinator &coordinator) {
         const std::uint16_t port = coordinator.listenPort();
+        const int healthy_fd = campaign::net::connectTo(
+            {"127.0.0.1", std::to_string(port)});
         driftedThread = std::thread([port, &camp, &drifted] {
             const int fd = campaign::net::connectTo(
                 {"127.0.0.1", std::to_string(port)});
@@ -397,17 +401,16 @@ TEST(CampaignEquivalence, DriftedWorkerIsRefused)
                           prepareSweepJobs(camp, drifted)),
                       0);
         });
-        healthyThread = std::thread([port, &camp, &jobs] {
-            const int fd = campaign::net::connectTo(
-                {"127.0.0.1", std::to_string(port)});
-            campaign::serveCoordinator(fd, camp, "campaign_test",
+        healthyThread = std::thread([healthy_fd, &camp, &jobs,
+                                     &driftedThread] {
+            driftedThread.join();
+            campaign::serveCoordinator(healthy_fd, camp, "campaign_test",
                                        prepareSweepJobs(camp, jobs));
         });
     };
     const std::vector<SweepOutcome> outcomes =
         campaign::runCampaignSweep(camp, "campaign_test", jobs, attach);
-    driftedThread.join();
-    healthyThread.join();
+    healthyThread.join();  // joined the drifted worker first
 
     ASSERT_EQ(outcomes.size(), jobs.size());
     for (const SweepOutcome &outcome : outcomes)

@@ -97,27 +97,6 @@ for m in $doc_msgs; do
     fi
 done
 
-# 6b. Same for STORE.md's catalog against the result-store daemon:
-#     every "type":"NAME" literal src/store emits needs a STORE.md
-#     entry and vice versa (the campaign literals live in
-#     src/campaign and are covered by rule 6 above).
-store_impl_msgs=$(grep -ohE 'type\\":\\"[a-z]+' src/store/*.cc src/store/*.hh |
-                  sed 's/.*\\"//' | sort -u)
-store_doc_msgs=$(grep -ohE '"type":"[a-z]+"' STORE.md |
-                 sed 's/.*type":"//; s/"$//' | sort -u)
-[ -n "$store_impl_msgs" ] || err "no wire message types found in src/store"
-[ -n "$store_doc_msgs" ] || err "no message catalog entries found in STORE.md"
-for m in $store_impl_msgs; do
-    if ! echo "$store_doc_msgs" | grep -qx "$m"; then
-        err "wire message \"$m\" is emitted by src/store but missing from the STORE.md catalog"
-    fi
-done
-for m in $store_doc_msgs; do
-    if ! echo "$store_impl_msgs" | grep -qx "$m"; then
-        err "wire message \"$m\" is cataloged in STORE.md but emitted nowhere in src/store"
-    fi
-done
-
 # 6c. STORE.md's flag table must cover every store flag the
 #     implementation parses (the "store-*" Config keys), so a new
 #     store knob cannot ship undocumented.

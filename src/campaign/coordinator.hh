@@ -64,13 +64,11 @@ class Coordinator
     Coordinator &operator=(const Coordinator &) = delete;
 
     /**
-     * Dispatch the still-pending grid slots (submission-order indices
-     * into the prepared grid, as computed by runSweepWith's --resume
-     * partition) and block until every one has an outcome.
-     * @return one outcome per pending slot, in the given order
+     * Dispatch every run of the grid that the result store cannot
+     * serve and block until every run has an outcome.
+     * @return one outcome per grid slot, in submission order
      */
-    std::vector<SweepOutcome> execute(
-        const std::vector<std::size_t> &pendingSlots);
+    std::vector<SweepOutcome> execute();
 
     /** Campaign counters for the manifest (valid after execute()). */
     const CampaignStats &stats() const { return stats_; }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Strict recursive-descent JSON parser (plus a writer) for the
- * documents this repo produces itself: sweep manifests consumed by
- * `--resume`, golden-stats files, and trace exports under test. Small
+ * Strict recursive-descent JSON parser for the documents this repo
+ * produces itself: sweep manifests, store payloads, campaign frames,
+ * golden-stats files, and trace exports under test. Small
  * on purpose: it accepts exactly RFC 8259 JSON and throws
  * std::runtime_error (with a byte offset) on the first deviation, so
  * a malformed document fails loudly instead of being half-accepted
@@ -340,100 +340,12 @@ class Parser
 /**
  * Parse one complete JSON document; throws std::runtime_error (with
  * the byte offset of the first deviation) on anything that is not
- * exactly RFC 8259. This is the read half of the pair; write() below
- * is the inverse, and write(parse(x)) is canonical: stable key order,
- * %.17g numbers, minimal escapes.
+ * exactly RFC 8259.
  */
 inline Value
 parse(const std::string &text)
 {
     return Parser(text).parse();
-}
-
-/**
- * Serialize a Value back to RFC 8259 JSON. Object keys come out in
- * map order; numbers use %.17g (round-trip exact for doubles) with
- * non-finite values written as null. Used to re-emit the carried-
- * forward stats of runs a `--resume` campaign skips.
- */
-inline void
-write(std::ostream &os, const Value &value)
-{
-    struct Writer
-    {
-        std::ostream &os;
-
-        void
-        string(const std::string &s)
-        {
-            os << '"';
-            for (const char c : s) {
-                switch (c) {
-                  case '"':  os << "\\\""; break;
-                  case '\\': os << "\\\\"; break;
-                  case '\n': os << "\\n"; break;
-                  case '\r': os << "\\r"; break;
-                  case '\t': os << "\\t"; break;
-                  default:
-                    if (static_cast<unsigned char>(c) < 0x20) {
-                        char buf[8];
-                        std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                      static_cast<unsigned>(c));
-                        os << buf;
-                    } else {
-                        os << c;
-                    }
-                }
-            }
-            os << '"';
-        }
-
-        void
-        operator()(std::nullptr_t) { os << "null"; }
-        void
-        operator()(bool b) { os << (b ? "true" : "false"); }
-        void
-        operator()(double d)
-        {
-            if (!std::isfinite(d)) {
-                os << "null";
-                return;
-            }
-            char buf[40];
-            std::snprintf(buf, sizeof(buf), "%.17g", d);
-            os << buf;
-        }
-        void
-        operator()(const std::string &s) { string(s); }
-        void
-        operator()(const Array &a)
-        {
-            os << '[';
-            bool first = true;
-            for (const Value &v : a) {
-                os << (first ? "" : ",");
-                std::visit(*this, v.v);
-                first = false;
-            }
-            os << ']';
-        }
-        void
-        operator()(const Object &o)
-        {
-            os << '{';
-            bool first = true;
-            for (const auto &[key, v] : o) {
-                os << (first ? "" : ",");
-                string(key);
-                os << ':';
-                std::visit(*this, v.v);
-                first = false;
-            }
-            os << '}';
-        }
-    };
-    Writer writer{os};
-    std::visit(writer, value.v);
 }
 
 } // namespace minijson

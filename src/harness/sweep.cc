@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -31,27 +30,6 @@ splitmix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
-}
-
-/**
- * Replay a stored run for this job, or nullopt on any miss. A stored
- * entry that fails to parse is a store bug, not a sweep failure: warn
- * and fall through to simulating (the fresh run will re-insert).
- */
-std::optional<SweepOutcome>
-tryServeFromStore(store::ResultStore &resultStore, const SweepJob &job)
-{
-    const std::string fp = configFingerprint(job.options);
-    std::optional<store::StoreEntry> entry = resultStore.lookup(fp);
-    if (!entry)
-        return std::nullopt;
-    try {
-        return outcomeFromStoreEntry(job.id, *entry);
-    } catch (const std::exception &e) {
-        warn("result store entry for " + job.id + " (" + fp +
-             ") did not replay: " + e.what() + "; re-simulating");
-        return std::nullopt;
-    }
 }
 
 } // namespace
@@ -93,6 +71,22 @@ outcomeFromStoreEntry(const std::string &id,
     return outcome;
 }
 
+std::optional<SweepOutcome>
+tryServeFromStore(store::ResultStore &resultStore, const SweepJob &job)
+{
+    const std::string fp = configFingerprint(job.options);
+    std::optional<store::StoreEntry> entry = resultStore.lookup(fp);
+    if (!entry)
+        return std::nullopt;
+    try {
+        return outcomeFromStoreEntry(job.id, *entry);
+    } catch (const std::exception &e) {
+        warn("result store entry for " + job.id + " (" + fp +
+             ") did not replay: " + e.what() + "; re-simulating");
+        return std::nullopt;
+    }
+}
+
 std::string_view
 sweepStatusName(SweepStatus status)
 {
@@ -100,7 +94,6 @@ sweepStatusName(SweepStatus status)
       case SweepStatus::Ok:      return "ok";
       case SweepStatus::Error:   return "error";
       case SweepStatus::Timeout: return "timeout";
-      case SweepStatus::Skipped: return "skipped";
     }
     return "unknown";
 }
@@ -114,8 +107,6 @@ sweepStatusFromName(std::string_view name)
         return SweepStatus::Error;
     if (name == "timeout")
         return SweepStatus::Timeout;
-    if (name == "skipped")
-        return SweepStatus::Skipped;
     throw std::runtime_error("unknown sweep status: " +
                              std::string(name));
 }
@@ -810,65 +801,6 @@ parseScalarsFromStats(const minijson::Value &stats)
     for (const auto &[name, value] : stats.at("scalars").object())
         scalars.emplace(name, numberOrZero(value));
     return scalars;
-}
-
-SweepResume
-SweepResume::load(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot open --resume manifest: " + path);
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-
-    SweepResume resume;
-    try {
-        const minijson::Value doc = minijson::parse(buffer.str());
-        for (const minijson::Value &run : doc.at("runs").array()) {
-            const std::string id = run.at("id").str();
-            // Manifests from before the status field are all-ok by
-            // construction (a failed run used to kill the export).
-            const std::string status =
-                run.has("status") ? run.at("status").str() : "ok";
-            if (status != "ok" && status != "skipped")
-                continue;
-            if (!run.has("fingerprint") ||
-                !run.at("fingerprint").isString())
-                continue;
-
-            SweepOutcome outcome;
-            outcome.id = id;
-            outcome.status = SweepStatus::Skipped;
-            outcome.attempts = 0;
-            outcome.fingerprint = run.at("fingerprint").str();
-            if (run.has("result") && run.at("result").isObject()) {
-                outcome.result =
-                    parseSimulationResultJson(run.at("result"));
-            }
-            if (run.has("stats") && run.at("stats").isObject()) {
-                const minijson::Value &stats = run.at("stats");
-                outcome.scalars = parseScalarsFromStats(stats);
-                std::ostringstream json;
-                minijson::write(json, stats);
-                outcome.statsJson = json.str();
-            }
-            resume.runs[id] = std::move(outcome);
-        }
-    } catch (const std::exception &e) {
-        fatal("--resume manifest " + path + " is not a valid sweep "
-              "document: " + e.what());
-    }
-    return resume;
-}
-
-const SweepOutcome *
-SweepResume::completed(const std::string &id,
-                       const std::string &fingerprint) const
-{
-    const auto it = runs.find(id);
-    if (it == runs.end() || it->second.fingerprint != fingerprint)
-        return nullptr;
-    return &it->second;
 }
 
 } // namespace vsv

@@ -16,11 +16,12 @@
  * error record in that run's SweepOutcome instead of taking down the
  * campaign. A per-run soft timeout (SweepJob::softTimeoutSeconds)
  * aborts runaway runs via the Simulator's abort hook, and a retry
- * policy (`--retries`) re-runs failed jobs. Campaigns are resumable:
- * the exported JSON records per-run status/error/attempts plus a
- * configuration fingerprint, and SweepResume replays a previous
- * manifest so `--resume` skips runs already completed with the same
- * configuration.
+ * policy (`--retries`) re-runs failed jobs. The exported JSON records
+ * per-run status/error/attempts plus a configuration fingerprint; a
+ * re-run reuses earlier work only through the result store
+ * (enableResultStore), which records Ok runs as they finish, so a
+ * failed, changed or never-reached run simulates again and nothing
+ * else does.
  *
  * The runner also owns the machine-readable output path: one JSON
  * document per sweep with a run manifest (tool, git-describe,
@@ -35,6 +36,7 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,10 +70,9 @@ enum class SweepStatus
     Ok,       ///< completed normally; result/stats are valid
     Error,    ///< exception or fatal() escaped the run
     Timeout,  ///< the abort hook (soft timeout) stopped the run
-    Skipped,  ///< carried forward from a --resume manifest, not re-run
 };
 
-/** JSON spelling of a status: "ok", "error", "timeout", "skipped". */
+/** JSON spelling of a status: "ok", "error", "timeout". */
 std::string_view sweepStatusName(SweepStatus status);
 
 /**
@@ -86,9 +87,9 @@ struct SweepOutcome
 {
     std::string id;
     SweepStatus status = SweepStatus::Ok;
-    /** What went wrong; empty when status is Ok/Skipped. */
+    /** What went wrong; empty when status is Ok. */
     std::string error;
-    /** Executions this campaign (includes retries); 0 when skipped. */
+    /** Executions this campaign (includes retries). */
     unsigned attempts = 0;
     /** configFingerprint() of the options that produced this run. */
     std::string fingerprint;
@@ -100,12 +101,7 @@ struct SweepOutcome
     /** The full StatRegistry::dump text (for --stats style output). */
     std::string statsText;
 
-    bool
-    ok() const
-    {
-        return status == SweepStatus::Ok ||
-               status == SweepStatus::Skipped;
-    }
+    bool ok() const { return status == SweepStatus::Ok; }
 };
 
 /**
@@ -279,6 +275,16 @@ SweepOutcome outcomeFromStoreEntry(const std::string &id,
                                    const store::StoreEntry &entry);
 
 /**
+ * Replay the stored run for `job`, or nullopt on a miss. An entry
+ * that does not replay (outcomeFromStoreEntry throws) is a store bug,
+ * not a sweep failure: it is warned about and treated as a miss, so
+ * the caller simulates and the fresh run re-inserts. Shared by
+ * SweepRunner::run and the campaign coordinator.
+ */
+std::optional<SweepOutcome> tryServeFromStore(
+    store::ResultStore &resultStore, const SweepJob &job);
+
+/**
  * Deterministic per-run seed derivation (splitmix64 mixing): depends
  * only on the two seeds, so any execution order reproduces it. A
  * sweep seed of 0 means "leave the profile seed alone", keeping the
@@ -294,7 +300,7 @@ void applyRunSeed(SimulationOptions &options, std::uint64_t sweepSeed);
  * a run's simulated results (workload, window, VSV policy, circuit
  * constants, machine geometry). Observability settings (tracing,
  * fast-forward) are excluded: they are proven not to change stats, so
- * a resumed campaign may vary them without invalidating prior runs.
+ * a re-run may vary them and still replay prior runs from the store.
  */
 std::string configFingerprint(const SimulationOptions &options);
 
@@ -363,8 +369,8 @@ std::string_view buildGitDescribe();
 /**
  * Write the sweep document: `{"manifest": {...}, "runs": [...]}` with
  * one entry per outcome carrying id/fingerprint/status/error/attempts
- * plus, for completed (ok or carried-forward) runs, the whole-run
- * result and the full stats dump (`null` for failed runs).
+ * plus, for ok runs, the whole-run result and the full stats dump
+ * (`null` for failed runs).
  */
 void writeSweepJson(std::ostream &os, const SweepManifest &manifest,
                     const std::vector<SweepOutcome> &outcomes);
@@ -382,7 +388,7 @@ void writeSimulationResultJson(std::ostream &os,
                                const SimulationResult &r);
 
 /**
- * Inverse of writeSimulationResultJson, used by --resume and the
+ * Inverse of writeSimulationResultJson, used by store replay and the
  * campaign coordinator. Missing optional blocks (perCore,
  * throughput) leave their fields default; numbers written as null
  * (non-finite values) parse back as 0.0.
@@ -397,35 +403,6 @@ SimulationResult parseSimulationResultJson(const minijson::Value &r);
  */
 std::map<std::string, double> parseScalarsFromStats(
     const minijson::Value &stats);
-
-/**
- * A previous campaign's `--json` manifest, loaded for `--resume`:
- * runs recorded there as completed ("ok" or "skipped") are carried
- * forward - result and stats included, so the re-exported manifest
- * stays whole - and only failed or new runs execute again. Matching
- * is by run id plus configuration fingerprint, so a run whose
- * configuration changed since the manifest was written is re-run, not
- * trusted.
- */
-class SweepResume
-{
-  public:
-    /** Parse a sweep JSON file; fatal() on unreadable/invalid input. */
-    static SweepResume load(const std::string &path);
-
-    /**
-     * The completed prior outcome for this id, or nullptr when the
-     * run is absent, failed, or its fingerprint does not match.
-     */
-    const SweepOutcome *completed(const std::string &id,
-                                  const std::string &fingerprint) const;
-
-    /** Number of completed runs available to carry forward. */
-    std::size_t size() const { return runs.size(); }
-
-  private:
-    std::map<std::string, SweepOutcome> runs;
-};
 
 } // namespace vsv
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Content-addressed result store: "never simulate the same config
- * twice" (STORE.md is the normative on-disk and protocol spec;
+ * twice" (STORE.md is the normative on-disk spec;
  * DESIGN.md §5j the design discussion).
  *
  * Every sweep run is a pure function of its SimulationOptions, and
@@ -9,9 +9,9 @@
  * function's input with a stable 64-bit hash. The store persists the
  * run's exact output bytes - the result JSON writeSimulationResultJson
  * emits plus the full stats dump and stats text, all kept as opaque
- * strings - under <dir>/<fp[0:2]>/<fp>.vsvres, so any later sweep,
- * campaign coordinator or daemon that reaches the same fingerprint
- * replays the recorded bytes instead of simulating.
+ * strings - under <dir>/<fp[0:2]>/<fp>.vsvres, so any later sweep or
+ * campaign coordinator that reaches the same fingerprint replays the
+ * recorded bytes instead of simulating.
  *
  * Durability discipline mirrors WarmupSnapshotCache: entries are
  * written to a per-process temp name and rename()d into place, so a
@@ -154,8 +154,8 @@ class ResultStore
     std::string entryPath(const std::string &fingerprint) const;
 
     /** 16 lowercase hex digits - the only shape lookup/insert accept
-     *  (daemon queries arrive over the network; everything else is
-     *  rejected before it can name a path). */
+     *  (a fingerprint becomes a file path, so anything else is
+     *  rejected before it can name one). */
     static bool validFingerprint(const std::string &fingerprint);
 
   private:

@@ -4,13 +4,15 @@
  * must write a merged manifest whose runs are byte-identical to a
  * single-process sweep of the same grid (modulo the excluded
  * throughput block) - including when one worker is SIGKILLed
- * mid-campaign - and a TCP worker must interoperate with the same
- * coordinator loop.
+ * mid-campaign - a TCP worker must interoperate with the same
+ * coordinator loop, and one --store-dir must carry a grid between
+ * local sweeps and campaigns.
  */
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -357,7 +359,7 @@ TEST(CampaignEquivalence, AllWorkersGoneIsAStructuredError)
 
     try {
         ScopedThrowingFatal guard;
-        coordinator.execute({0, 1, 2});
+        coordinator.execute();
         FAIL() << "coordinator did not detect the stall";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("campaign stalled"),
@@ -421,4 +423,48 @@ TEST(CampaignEquivalence, DriftedWorkerIsRefused)
                   .num(),
               1.0);
     std::remove(camp.jsonPath.c_str());
+}
+
+TEST(CampaignEquivalence, StoreDirChainsLocalSweepsAndCampaigns)
+{
+    // One --store-dir carries a grid across execution modes in either
+    // order: the second sweep replays every run and its runs array is
+    // byte-identical to the first's.
+    const std::vector<SweepJob> jobs = tinyGrid({"mcf", "gzip"});
+    for (const bool localFirst : {true, false}) {
+        const std::string dir = tempPath("campaign_store_dir");
+        std::filesystem::remove_all(dir);
+
+        ExperimentArgs local;
+        local.jobs = 1;
+        local.storeDir = dir;
+        local.jsonPath = tempPath("campaign_store_local.json");
+        ExperimentArgs camp = local;
+        camp.campaignWorkers = 2;
+        camp.campaignChunk = 2;
+        camp.jsonPath = tempPath("campaign_store_camp.json");
+
+        const ExperimentArgs &cold = localFirst ? local : camp;
+        const ExperimentArgs &warm = localFirst ? camp : local;
+        for (const ExperimentArgs *args : {&cold, &warm}) {
+            for (const SweepOutcome &outcome : campaign::runCampaignSweep(
+                     *args, "campaign_test", jobs))
+                EXPECT_TRUE(outcome.ok()) << outcome.id;
+        }
+
+        const minijson::Value store = minijson::parse(slurp(warm.jsonPath))
+                                          .at("manifest")
+                                          .at("store");
+        EXPECT_EQ(store.at("hits").num(), static_cast<double>(jobs.size()))
+            << "localFirst=" << localFirst;
+        EXPECT_EQ(store.at("misses").num(), 0.0)
+            << "localFirst=" << localFirst;
+        EXPECT_EQ(comparableRuns(local.jsonPath),
+                  comparableRuns(camp.jsonPath))
+            << "localFirst=" << localFirst;
+
+        std::remove(local.jsonPath.c_str());
+        std::remove(camp.jsonPath.c_str());
+        std::filesystem::remove_all(dir);
+    }
 }

@@ -1,14 +1,16 @@
 /**
  * @file
  * Tests of the sweep campaign hardening: per-run fault isolation,
- * soft timeouts, the retry policy, configuration fingerprints,
- * `--resume` carry-forward, the per-run trace path derivation, and
- * `--benchmarks` validation.
+ * soft timeouts, the retry policy, configuration fingerprints, the
+ * up-front `--json` destination check, the per-run trace path
+ * derivation, and `--benchmarks` validation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -47,6 +49,15 @@ std::string
 tempPath(const std::string &name)
 {
     return ::testing::TempDir() + name;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path);
+    std::ostringstream bytes;
+    bytes << is.rdbuf();
+    return bytes.str();
 }
 
 TEST(SweepFaultTest, OneFaultingRunDoesNotPoisonTheOthers)
@@ -142,12 +153,19 @@ TEST(FingerprintTest, DeterministicAndSensitiveToResults)
 
     SimulationOptions other = makeOptions("ammp", false, 20000, 5000);
     EXPECT_NE(configFingerprint(a), configFingerprint(other));
+
+    SimulationOptions twoCores = a;
+    twoCores.cores = 2;
+    SimulationOptions fourCores = a;
+    fourCores.cores = 4;
+    EXPECT_NE(configFingerprint(a), configFingerprint(twoCores));
+    EXPECT_NE(configFingerprint(twoCores), configFingerprint(fourCores));
 }
 
 TEST(FingerprintTest, ObservabilitySettingsDoNotPerturbIt)
 {
     // Tracing and fast-forward are proven not to change stats, so a
-    // resumed campaign may toggle them without invalidating runs.
+    // re-run may toggle them and still replay stored runs.
     const SimulationOptions a = makeOptions("mcf", false, 20000, 5000);
     SimulationOptions traced = a;
     traced.trace.path = "trace.json";
@@ -185,95 +203,56 @@ TEST(SweepJsonTest, FailedRunsExportStructuredErrorRecords)
     EXPECT_TRUE(runs[1].at("fingerprint").isString());
 }
 
-TEST(SweepResumeTest, SecondInvocationReRunsOnlyTheFailedRun)
+TEST(SweepJsonTest, UnusableJsonPathFailsBeforeAnyRun)
 {
-    const std::string manifest = tempPath("sweep_resume_test.json");
-
-    // Campaign 1: one good run, one faulting run.
+    // The executor aborts if it is ever reached: the bad destination
+    // must end the process through fatal() before a run executes.
     ExperimentArgs args;
-    args.jsonPath = manifest;
-    const std::vector<SweepOutcome> first =
-        runSweep(args, "sweep_fault_test",
-                 {goodJob("mcf/base", "mcf", false),
-                  faultingJob("ammp/base")});
-    ASSERT_EQ(first[0].status, SweepStatus::Ok);
-    ASSERT_EQ(first[1].status, SweepStatus::Error);
-
-    // Campaign 2: same grid with the fault fixed, resuming. The good
-    // run is carried forward (attempts 0), the failed one re-executes.
-    ExperimentArgs resumed;
-    resumed.jsonPath = manifest;
-    resumed.resumePath = manifest;
-    const std::vector<SweepOutcome> second =
-        runSweep(resumed, "sweep_fault_test",
-                 {goodJob("mcf/base", "mcf", false),
-                  goodJob("ammp/base", "ammp", false)});
-
-    EXPECT_EQ(second[0].status, SweepStatus::Skipped);
-    EXPECT_EQ(second[0].attempts, 0u);
-    EXPECT_TRUE(second[0].ok());
-    // Carried-forward runs keep their full result and scalars.
-    EXPECT_EQ(second[0].result.ticks, first[0].result.ticks);
-    EXPECT_EQ(second[0].scalars, first[0].scalars);
-
-    EXPECT_EQ(second[1].status, SweepStatus::Ok);
-    EXPECT_EQ(second[1].attempts, 1u);
-    EXPECT_GT(second[1].result.instructions, 0u);
-
-    // Campaign 3: resuming from the re-exported manifest re-runs
-    // nothing - skipped entries count as completed too.
-    ExperimentArgs chained;
-    chained.resumePath = manifest;
-    const std::vector<SweepOutcome> third =
-        runSweep(chained, "sweep_fault_test",
-                 {goodJob("mcf/base", "mcf", false),
-                  goodJob("ammp/base", "ammp", false)});
-    EXPECT_EQ(third[0].status, SweepStatus::Skipped);
-    EXPECT_EQ(third[1].status, SweepStatus::Skipped);
-    EXPECT_EQ(third[1].result.ticks, second[1].result.ticks);
-
-    std::remove(manifest.c_str());
+    args.jsonPath = "/nonexistent/vsv-sweep-json-dir/out.json";
+    const SweepExecutor mustNotRun =
+        [](const std::vector<SweepJob> &) -> std::vector<SweepOutcome> {
+        std::abort();
+    };
+    EXPECT_EXIT(runSweepWith(args, "sweep_fault_test",
+                             {goodJob("mcf/base", "mcf", false)},
+                             mustNotRun),
+                ::testing::ExitedWithCode(1),
+                "cannot open --json output file");
 }
 
-TEST(SweepResumeTest, ChangedConfigurationInvalidatesTheCarry)
+TEST(SweepJsonTest, DestinationCheckLeavesFilesAloneUntilTheExport)
 {
-    const std::string manifest = tempPath("sweep_resume_fp_test.json");
-
-    ExperimentArgs args;
-    args.jsonPath = manifest;
-    runSweep(args, "sweep_fault_test",
-             {goodJob("mcf/base", "mcf", false)});
-
-    // Same run id, different measurement window: the fingerprint
-    // mismatch forces a re-run rather than trusting stale numbers.
-    SweepJob changed = goodJob("mcf/base", "mcf", false);
-    changed.options.measureInstructions = 30000;
-    ExperimentArgs resumed;
-    resumed.resumePath = manifest;
-    const std::vector<SweepOutcome> outcomes =
-        runSweep(resumed, "sweep_fault_test", {changed});
-    EXPECT_EQ(outcomes[0].status, SweepStatus::Ok);
-    EXPECT_EQ(outcomes[0].attempts, 1u);
-
-    std::remove(manifest.c_str());
-}
-
-TEST(SweepResumeTest, MissingManifestIsFatal)
-{
-    EXPECT_EXIT(SweepResume::load("/nonexistent/manifest.json"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(SweepResumeTest, MalformedManifestIsFatal)
-{
-    const std::string path = tempPath("sweep_resume_bad.json");
+    // An existing manifest keeps its bytes while the grid runs, and a
+    // new destination does not appear before the export writes it.
+    const std::string existing = tempPath("sweep_json_existing.json");
     {
-        std::ofstream os(path);
-        os << "{\"runs\": [{\"id\": \"x\"";  // truncated
+        std::ofstream os(existing);
+        os << "prior manifest";
     }
-    EXPECT_EXIT(SweepResume::load(path), ::testing::ExitedWithCode(1),
-                "not a valid sweep document");
-    std::remove(path.c_str());
+    const std::string fresh = tempPath("sweep_json_fresh.json");
+    std::remove(fresh.c_str());
+
+    for (const std::string &path : {existing, fresh}) {
+        ExperimentArgs args;
+        args.jsonPath = path;
+        bool ran = false;
+        const SweepExecutor check =
+            [&](const std::vector<SweepJob> &prepared) {
+                ran = true;
+                EXPECT_EQ(std::filesystem::exists(path),
+                          path == existing);
+                if (path == existing) {
+                    EXPECT_EQ(slurp(path), "prior manifest");
+                }
+                return std::vector<SweepOutcome>(prepared.size());
+            };
+        runSweepWith(args, "sweep_fault_test",
+                     {goodJob("mcf/base", "mcf", false)}, check);
+        EXPECT_TRUE(ran);
+        EXPECT_EQ(minijson::parse(slurp(path)).at("runs").array().size(),
+                  1u);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(TraceOutPathTest, InsertsRunIdBeforeTheExtension)
@@ -350,10 +329,18 @@ TEST(BenchmarkListTest, AllEmptyListIsFatal)
 TEST(BenchmarkListTest, HarnessFlagsParse)
 {
     const ExperimentArgs args = parseArgv(
-        {"--retries=2", "--timeout=1.5", "--resume=prior.json"});
+        {"--retries=2", "--timeout=1.5", "--store-dir=results"});
     EXPECT_EQ(args.retries, 2u);
     EXPECT_DOUBLE_EQ(args.timeoutSeconds, 1.5);
-    EXPECT_EQ(args.resumePath, "prior.json");
+    EXPECT_TRUE(args.storeEnabled());
+
+    // Neither is a flag: both end in the unknown-flag fatal.
+    for (const char *removed : {"--resume=prior.json", "--no-store"}) {
+        const ExperimentArgs stale = parseArgv({removed});
+        EXPECT_EXIT(stale.config.rejectUnknown("sweep_fault_test"),
+                    ::testing::ExitedWithCode(1), "unknown flag")
+            << removed;
+    }
 }
 
 } // namespace

@@ -3,14 +3,12 @@
  * Multi-core contracts: per-core stats that sum to the aggregates,
  * shared-rail lockstep behavior, fast-forward and snapshot/restore
  * bit-identity with 2 cores, warmup-snapshot sharing across rail
- * policies, fingerprint-keyed resume, and the N=1 guarantee that the
- * multi-core simulator registers exactly the legacy stat surface.
+ * policies, and the N=1 guarantee that the multi-core simulator
+ * registers exactly the legacy stat surface.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -172,8 +170,8 @@ TEST(MulticoreTest, RailPoliciesShareOneWarmupSnapshot)
 {
     // Both rail policies (and baseline vs VSV) of the same 2-core
     // workload share a warmup fingerprint: a 4-job campaign warms up
-    // exactly once. Their config fingerprints stay distinct, so
-    // --resume still keys results correctly.
+    // exactly once. Their config fingerprints stay distinct, so the
+    // result store still keys results correctly.
     WarmupSnapshotCache cache;
     SweepRunner runner(2);
     runner.enableWarmupSnapshots(cache);
@@ -194,41 +192,6 @@ TEST(MulticoreTest, RailPoliciesShareOneWarmupSnapshot)
                 << outcomes[i].id << " vs " << outcomes[j].id;
         }
     }
-}
-
-TEST(MulticoreTest, TwoCoreSweepResumesByFingerprint)
-{
-    // A completed 2-core campaign's manifest resumes: every run is
-    // carried forward when its id and config fingerprint match, and a
-    // core-count change invalidates the match.
-    SweepRunner runner(2);
-    const std::vector<SweepJob> jobs = twoCoreGrid(true);
-    const std::vector<SweepOutcome> outcomes = runner.run(jobs);
-
-    SweepManifest manifest;
-    manifest.tool = "multicore-test";
-    std::ostringstream doc;
-    writeSweepJson(doc, manifest, outcomes);
-    const std::string path = "MULTICORE_resume_test.json";
-    {
-        std::ofstream os(path);
-        os << doc.str();
-    }
-
-    const SweepResume resume = SweepResume::load(path);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::string fp = configFingerprint(jobs[i].options);
-        EXPECT_NE(resume.completed(jobs[i].id, fp), nullptr)
-            << jobs[i].id;
-
-        SimulationOptions more_cores = jobs[i].options;
-        more_cores.cores = 4;
-        EXPECT_EQ(resume.completed(jobs[i].id,
-                                   configFingerprint(more_cores)),
-                  nullptr)
-            << jobs[i].id;
-    }
-    std::remove(path.c_str());
 }
 
 TEST(MulticoreTest, SingleCoreKeepsTheLegacyStatSurface)

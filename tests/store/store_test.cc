@@ -5,8 +5,9 @@
  * in; a corrupt or torn entry is quarantined as `.bad` and degrades
  * to a miss; duplicate inserts of one fingerprint write once;
  * concurrent multi-process inserts into one directory never produce a
- * torn entry; and the SweepRunner integration serves hits without
- * simulating, byte-identically to the cold run.
+ * torn entry; and the sweep integration serves hits without
+ * simulating, byte-identically to the cold run, while failed and
+ * changed runs simulate again.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/minijson.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "store/store.hh"
@@ -61,6 +63,51 @@ readFile(const std::string &path)
     std::ostringstream buffer;
     buffer << is.rdbuf();
     return buffer.str();
+}
+
+/** A fast, valid sweep job. */
+SweepJob
+goodJob(const std::string &id, const char *bench)
+{
+    return {id, makeOptions(bench, false, 20000, 5000)};
+}
+
+/** A job that fails to construct: its trace file does not exist. */
+SweepJob
+faultingJob(const std::string &id, const char *bench)
+{
+    SweepJob job = goodJob(id, bench);
+    job.options.tracePath = "/nonexistent/vsv-store-test.trc";
+    return job;
+}
+
+/** runSweep through `--store-dir=dir`; `store` gets the manifest's
+ *  store block. */
+std::vector<SweepOutcome>
+sweepThroughStore(const std::string &dir,
+                  const std::vector<SweepJob> &jobs,
+                  minijson::Value &store)
+{
+    ExperimentArgs args;
+    args.jobs = 2;
+    args.storeDir = dir;
+    args.jsonPath = dir + ".manifest.json";
+    std::vector<SweepOutcome> outcomes =
+        runSweep(args, "store_test", jobs);
+    store = minijson::parse(readFile(args.jsonPath))
+                .at("manifest")
+                .at("store");
+    std::remove(args.jsonPath.c_str());
+    return outcomes;
+}
+
+/** The bytes a manifest records for one run's result. */
+std::string
+resultBytes(const SweepOutcome &outcome)
+{
+    std::ostringstream os;
+    writeSimulationResultJson(os, outcome.result);
+    return os.str();
 }
 
 TEST(LzssTest, CompressibleInputRoundTrips)
@@ -409,6 +456,69 @@ TEST(StoreSweepTest, SecondSweepServesEveryRunFromTheStore)
         writeSimulationResultJson(b, cold[i].result);
         EXPECT_EQ(a.str(), b.str());
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StoreSweepTest, FailedRunIsReRunAndTheRestReplays)
+{
+    const std::string dir = freshDir("vsv_store_failed_run");
+    minijson::Value store;
+
+    // Sweep 1: one good run, one faulting run. Only the Ok run is
+    // recorded.
+    const std::vector<SweepOutcome> first = sweepThroughStore(
+        dir, {goodJob("mcf/base", "mcf"), faultingJob("ammp/base", "ammp")},
+        store);
+    ASSERT_EQ(first[0].status, SweepStatus::Ok);
+    ASSERT_EQ(first[1].status, SweepStatus::Error);
+    EXPECT_EQ(store.at("misses").num(), 2.0);
+    EXPECT_EQ(store.at("inserts").num(), 1.0);
+    EXPECT_FALSE(std::filesystem::exists(
+        ResultStore(dir).entryPath(first[1].fingerprint)));
+
+    // Sweep 2, fault fixed: the good run replays byte-identically and
+    // only the fixed run executes.
+    const std::vector<SweepJob> fixed = {goodJob("mcf/base", "mcf"),
+                                         goodJob("ammp/base", "ammp")};
+    const std::vector<SweepOutcome> second =
+        sweepThroughStore(dir, fixed, store);
+    EXPECT_EQ(store.at("hits").num(), 1.0);
+    EXPECT_EQ(store.at("misses").num(), 1.0);
+    EXPECT_EQ(store.at("inserts").num(), 1.0);
+    EXPECT_EQ(second[0].status, SweepStatus::Ok);
+    EXPECT_EQ(second[0].statsJson, first[0].statsJson);
+    EXPECT_EQ(resultBytes(second[0]), resultBytes(first[0]));
+    EXPECT_EQ(second[1].status, SweepStatus::Ok);
+    EXPECT_EQ(second[1].attempts, 1u);
+
+    // Sweep 3 simulates nothing.
+    const std::vector<SweepOutcome> third =
+        sweepThroughStore(dir, fixed, store);
+    EXPECT_EQ(store.at("hits").num(), 2.0);
+    EXPECT_EQ(store.at("misses").num(), 0.0);
+    EXPECT_EQ(store.at("inserts").num(), 0.0);
+    EXPECT_EQ(resultBytes(third[1]), resultBytes(second[1]));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StoreSweepTest, ChangedConfigurationMissesTheStore)
+{
+    const std::string dir = freshDir("vsv_store_changed_config");
+    minijson::Value store;
+    const std::vector<SweepOutcome> first =
+        sweepThroughStore(dir, {goodJob("mcf/base", "mcf")}, store);
+
+    // Same run id, different measurement window: a different
+    // fingerprint, so the run simulates instead of replaying.
+    SweepJob changed = goodJob("mcf/base", "mcf");
+    changed.options.measureInstructions = 30000;
+    const std::vector<SweepOutcome> second =
+        sweepThroughStore(dir, {changed}, store);
+    EXPECT_EQ(store.at("hits").num(), 0.0);
+    EXPECT_EQ(store.at("misses").num(), 1.0);
+    EXPECT_EQ(second[0].status, SweepStatus::Ok);
+    EXPECT_NE(second[0].fingerprint, first[0].fingerprint);
+    EXPECT_NE(second[0].result.instructions, first[0].result.instructions);
     std::filesystem::remove_all(dir);
 }
 

@@ -235,13 +235,13 @@ BENCHMARK(BM_VsvSimulatorThroughput)->Arg(20000)->Unit(
 void
 BM_LockstepReplicaStep(benchmark::State &state)
 {
-    // Lockstep batch throughput: one front-end stepping range(0)
-    // replica accountants alongside the leader. Items processed
+    // Lockstep batch throughput: one front-end feeding range(0)
+    // follower power models alongside the leader's. Items processed
     // counts every config's instructions, so the per-item rate shows
     // how cheap an extra replica is next to a full re-simulation.
-    // The replica arenas reserve exactly once at materialization;
-    // allocs/iter is the whole build+warmup+run cost and must grow
-    // only O(replicas) per iteration, never O(replicas x ticks).
+    // The follower arena grows only in addReplica(); allocs/iter is
+    // the whole build+warmup+run cost and must grow only O(replicas)
+    // per iteration, never O(replicas x ticks).
     const auto replicas = static_cast<std::size_t>(state.range(0));
     constexpr std::uint64_t instructions = 20000;
     const std::uint64_t allocs0 = benchAllocCount();
@@ -253,7 +253,7 @@ BM_LockstepReplicaStep(benchmark::State &state)
         options.vsv.enabled = true;
         Simulator sim(options);
         for (std::size_t r = 0; r < replicas; ++r)
-            sim.addReplica(options.power, options.vsv);
+            sim.addReplica(options.power);
         benchmark::DoNotOptimize(sim.run().ticks);
     }
     state.counters["allocs/iter"] = allocsPerIter(allocs0);

@@ -24,8 +24,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -33,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hh"
 #include "common/logging.hh"
 #include "common/minijson.hh"
 #include "harness/experiment.hh"
@@ -63,19 +62,6 @@ struct ProfileResult
     Baseline baseline;
     bool identical = false;
 };
-
-std::string
-fnv1a64Hex(const std::string &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-    return buf;
-}
 
 /** One timed warmup; returns its host seconds and snapshot bytes. */
 double

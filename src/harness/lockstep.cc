@@ -1,7 +1,6 @@
 #include "lockstep.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -10,78 +9,15 @@
 namespace vsv
 {
 
-using namespace fingerprint_detail;
-
-namespace
-{
-
-/** FNV-1a 64 over the serialized knob text, as 16 hex digits (the
- *  same construction configFingerprint uses). */
-std::string
-fingerprintHash(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
-/** The ramp duration VsvController derives from the rail voltages
- *  (VoltageRail::swingTicks): the one timing-relevant consequence of
- *  the otherwise accounting-only voltage knobs. */
-std::uint32_t
-derivedRampTicks(const VsvConfig &vsv)
-{
-    return static_cast<std::uint32_t>(
-        (vsv.vddHigh - vsv.vddLow) / vsv.slewVoltsPerTick + 0.5);
-}
-
-} // namespace
-
 std::string
 structuralFingerprint(const SimulationOptions &o)
 {
-    // configFingerprint's serialization minus the pure
-    // energy-accounting knobs: the whole PowerModelConfig, and the
-    // VSV rail voltage levels/slew - replaced by the ramp duration
-    // they derive, which *is* timing (it paces RampDown/RampUp and
-    // therefore the pipeline-edge schedule). Everything else changes
-    // cycle-level behaviour and must match for two configs to share a
-    // front-end.
-    std::ostringstream s;
-    const char sep = '|';
-    s << "structural-v1" << sep;
-    s << o.profile.name << sep << o.profile.seed << sep << o.tracePath
-      << sep << o.traceLoop << sep << o.warmupInstructions << sep
-      << o.measureInstructions << sep << o.timekeeping << sep
-      << o.stridePrefetch << sep;
-    s << o.vsv.enabled << sep << o.vsv.down.threshold << sep
-      << o.vsv.down.period << sep << static_cast<int>(o.vsv.upPolicy)
-      << sep << o.vsv.up.threshold << sep << o.vsv.up.period << sep
-      << o.vsv.ctrlDistTicks << sep << o.vsv.clockTreeTicks << sep
-      << o.vsv.clockDivider << sep << derivedRampTicks(o.vsv) << sep;
-    appendCacheKnobs(s, o.hierarchy);
-    s << o.hierarchy.l1iMshrs << sep << o.hierarchy.l1dMshrs << sep
-      << o.hierarchy.l2Mshrs << sep << o.hierarchy.prefetchBufferLatency
-      << sep << o.hierarchy.l2MissDetectTicks << sep
-      << o.hierarchy.bus.widthBytes << sep << o.hierarchy.bus.occupancy
-      << sep << o.hierarchy.dram.latency << sep;
-    s << o.core.fetchWidth << sep << o.core.dispatchWidth << sep
-      << o.core.issueWidth << sep << o.core.commitWidth << sep
-      << o.core.ruuSize << sep << o.core.lsqSize << sep
-      << o.core.fetchQueueSize << sep << o.core.mispredictPenalty << sep
-      << o.core.dcachePorts << sep;
-    appendBranchKnobs(s, o.branch);
-    appendPrefetcherKnobs(s, o.tk, o.stride);
-    s << o.cores << sep << static_cast<int>(o.railPolicy) << sep;
-    for (const std::string &bench : o.coreBenchmarks)
-        s << bench << sep;
-    return fingerprintHash(s.str());
+    // Batch members share everything but the power accounting: the
+    // leader's controller and pipeline serve every member, so even
+    // the VSV rail voltages must match.
+    SimulationOptions timing = o;
+    timing.power = PowerModelConfig{};
+    return configFingerprint(timing);
 }
 
 const char *
@@ -125,10 +61,10 @@ planLockstep(const std::vector<SweepJob> &jobs, unsigned maxReplicas,
             plan.serial.push_back(i);
             continue;
         }
-        std::vector<std::size_t> &group =
-            groups[structuralFingerprint(jobs[i].options)];
+        std::string fp = structuralFingerprint(jobs[i].options);
+        std::vector<std::size_t> &group = groups[fp];
         if (group.empty())
-            order.push_back(structuralFingerprint(jobs[i].options));
+            order.push_back(std::move(fp));
         group.push_back(i);
     }
 
@@ -166,10 +102,8 @@ runLockstepBatch(const std::vector<SweepJob> &jobs,
                "replica");
     const SweepJob &lead = jobs[members[0]];
     Simulator sim(lead.options);
-    for (std::size_t m = 1; m < members.size(); ++m) {
-        const SimulationOptions &o = jobs[members[m]].options;
-        sim.addReplica(o.power, o.vsv);
-    }
+    for (std::size_t m = 1; m < members.size(); ++m)
+        sim.addReplica(jobs[members[m]].options.power);
     const SimulationResult leadResult = sim.run();
 
     std::vector<SweepOutcome> outcomes;

@@ -1,31 +1,24 @@
 /**
  * @file
  * Config-parallel lockstep execution (DESIGN.md §5h): batch M sweep
- * configs whose *timing* is provably identical into one Simulator
- * that generates/decodes the micro-op stream, predicts branches and
- * simulates the caches once, stepping M lightweight per-config
- * replicas (VsvController + PowerModel + rail state) against the
- * shared event trace.
+ * configs that differ only in their PowerModelConfig into one
+ * Simulator. The leader config runs end to end - micro-op stream,
+ * branch prediction, caches, VSV controller - once, and every other
+ * member is a follower PowerModel that prices the leader's activity
+ * stream under its own power knobs (gating style/efficiency, idle and
+ * leakage fractions, ramp energy).
  *
- * What may batch: configs that differ only in knobs that change
- * energy *accounting*, never cycle-level behaviour - the whole
- * PowerModelConfig, plus the VSV rail voltages and slew rate as long
- * as the derived ramp duration (swing / slew, rounded) is unchanged.
- * Everything else - workload, windows, prefetchers, machine geometry,
- * VSV thresholds/divider/policy/circuit ticks, core topology - is
- * timing-relevant and lives in the structural fingerprint, so configs
- * differing there land in separate batches. Note the conservatism is
- * real, not theoretical: VSV *does* change cache-hit counts between
- * baseline and FSM runs (the half-clock schedule shifts which tick a
- * miss is issued on), so the Figure-4 base/no-fsm/fsm axis can never
- * share a batch; the win is on power-characterization grids (gating
- * style/efficiency, idle/leakage fractions, ramp energy, rail
- * voltage levels) where one front-end feeds the whole grid.
+ * What may batch: configs equal in every option but `power`. The VSV
+ * rail voltages and slew key the batch too, since followers charge at
+ * the leader's pipeline VDD. VSV *does* change cache-hit counts
+ * between baseline and FSM runs (the half-clock schedule shifts which
+ * tick a miss is issued on), so the Figure-4 base/no-fsm/fsm axis
+ * never shares a batch; the win is on power-characterization grids,
+ * where one front-end feeds the whole grid.
  *
- * Fallback: any failure inside a batch - including the runtime
- * edge-schedule divergence check in Simulator - re-runs every member
- * serially through the normal isolated path, so lockstep can make a
- * sweep faster but never less correct or less fault-tolerant.
+ * Fallback: any failure inside a batch re-runs every member serially
+ * through the normal isolated path, so lockstep can make a sweep
+ * faster but never less correct or less fault-tolerant.
  */
 
 #ifndef VSV_HARNESS_LOCKSTEP_HH
@@ -41,14 +34,12 @@ namespace vsv
 {
 
 /**
- * Stable 64-bit hex fingerprint of every option that can change
- * *cycle-level* behaviour: configFingerprint() minus the pure
- * energy-accounting knobs (PowerModelConfig and the VSV rail voltage
- * levels/slew), plus the derived ramp-duration those voltages imply
- * (it paces the RampDown/RampUp states, so it is timing). Two runs
- * with equal structural fingerprints consume identical micro-op
- * streams and identical per-tick front-end event sequences, which is
- * exactly what licenses lockstep batching.
+ * Stable 64-bit hex fingerprint of every option but the power
+ * accounting: configFingerprint() of the options with `power` reset
+ * to PowerModelConfig{}. Two runs with equal structural fingerprints
+ * drive identical micro-op streams, controller decisions and
+ * per-tick power-model calls, which is exactly what licenses lockstep
+ * batching.
  */
 std::string structuralFingerprint(const SimulationOptions &options);
 
@@ -84,8 +75,8 @@ LockstepPlan planLockstep(const std::vector<SweepJob> &jobs,
                           unsigned maxReplicas, LockstepStats &stats);
 
 /**
- * Execute one batch: leader simulator + one replica per remaining
- * member, one shared warmup (always fresh - a batch already
+ * Execute one batch: leader simulator + one follower power model per
+ * remaining member, one shared warmup (always fresh - a batch already
  * deduplicates its members' warmups by construction), one measured
  * window. Returns outcomes in member order, each carrying the same
  * result/scalars/stats dumps a serial run of that config produces,

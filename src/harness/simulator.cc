@@ -298,58 +298,37 @@ Simulator::functionalWarmup()
 }
 
 void
-Simulator::addReplica(const PowerModelConfig &power, const VsvConfig &vsv)
+Simulator::addReplica(const PowerModelConfig &power)
 {
     VSV_ASSERT(cores() == 1,
                "lockstep replicas require a single-core simulator");
     VSV_ASSERT(!warmedUp_ && !ran,
                "addReplica() must precede warmup()/run()");
-    replicaConfigs.push_back({power, vsv});
+    replicaPower.emplace_back(power);
 }
 
 void
 Simulator::materializeReplicas()
 {
-    if (replicaConfigs.empty() || !replicaPower.empty())
+    if (replicaPower.empty() || !replicaRegistries.empty())
         return;
 
-    const std::size_t m = replicaConfigs.size();
-    // Exact reserve: VsvController holds a PowerModel&, so the arena
-    // vectors must never reallocate once a reference is taken.
-    replicaPower.reserve(m);
-    replicaCtrl.reserve(m);
-    replicaPowerPtrs.reserve(m);
+    const std::size_t m = replicaPower.size();
+    // Installed *before* warmup so warmup-phase charges (the
+    // prefetcher tables train during warmup) land on every follower
+    // exactly as a serial run of that config would charge them.
+    slices[0].power->setFanout(replicaPower.data(), m);
     replicaRegistries.resize(m);
-    for (const ReplicaConfig &rc : replicaConfigs)
-        replicaPower.emplace_back(rc.power);
-    for (std::size_t r = 0; r < m; ++r) {
-        replicaCtrl.emplace_back(replicaConfigs[r].vsv, replicaPower[r]);
-        replicaPowerPtrs.push_back(&replicaPower[r]);
-    }
-
-    // Fan the shared front-end's power activity out to every replica
-    // model (each charges at its own voltage), and the hierarchy's
-    // L2-miss events out to every replica controller after the
-    // leader's - installed *before* warmup so warmup-phase charges
-    // (the prefetcher tables train during warmup) land on every
-    // replica exactly as a serial run of that config would charge
-    // them.
-    slices[0].power->setFanout(replicaPowerPtrs.data(), m);
-    missFanout = std::make_unique<MissFanout>();
-    missFanout->targets.push_back(slices[0].vsvCtrl.get());
-    for (VsvController &ctrl : replicaCtrl)
-        missFanout->targets.push_back(&ctrl);
-    hierarchy->setCoreMissListener(0, missFanout.get());
 
     // Per-replica registries mirror the serial single-core layout
     // name for name and in the same insertion order, substituting the
-    // replica's own power model and controller for the leader's.
+    // replica's own power model for the leader's.
     for (std::size_t r = 0; r < m; ++r) {
         StatRegistry &reg = replicaRegistries[r];
         replicaPower[r].regStats(reg, "power");
         hierarchy->regStats(reg, "mem");
         slices[0].predictor->regStats(reg, "bpred");
-        replicaCtrl[r].regStats(reg, "vsv");
+        slices[0].vsvCtrl->regStats(reg, "vsv");
         slices[0].cpu->regStats(reg, "cpu");
         if (tk)
             tk->regStats(reg, "tk");
@@ -428,7 +407,7 @@ Simulator::restoreFrom(std::istream &is,
 {
     VSV_ASSERT(!warmedUp_ && !ran,
                "restoreFrom() needs a freshly constructed simulator");
-    VSV_ASSERT(replicaConfigs.empty(),
+    VSV_ASSERT(replicaPower.empty(),
                "lockstep replicas always warm up fresh; restoring a "
                "snapshot into a batched simulator is unsupported");
     try {
@@ -606,13 +585,6 @@ Simulator::run()
                 all_idle = lastIssued[c] == 0 &&
                            slices[c].vsvCtrl->inSteadyState();
             }
-            // Lockstep replicas gate fast-forward too: every replica
-            // must be in a steady state, or the bulk replay could
-            // skip a tick where a replica's FSM settles.
-            for (std::size_t r = 0;
-                 r < replicaCtrl.size() && all_idle; ++r) {
-                all_idle = replicaCtrl[r].inSteadyState();
-            }
             const Tick nextEv =
                 all_idle ? hierarchy->nextEventTick() : Tick{0};
             if (all_idle && nextEv > now) {
@@ -652,17 +624,6 @@ Simulator::run()
                                                         ffBudget[c])
                                       .ticks);
                     }
-                    // The jump is the minimum across leader *and*
-                    // replicas (replicas share core 0's stall bound:
-                    // the pipeline they pace is the shared one).
-                    for (std::size_t r = 0;
-                         r < replicaCtrl.size() && jump > 0; ++r) {
-                        jump = std::min(jump,
-                                        replicaCtrl[r]
-                                            .planIdleAdvance(now, jump,
-                                                             ffBudget[0])
-                                            .ticks);
-                    }
                     if (jump > 0) {
                         for (std::uint32_t c = 0; c < n; ++c) {
                             const VsvController::IdleAdvance adv =
@@ -680,21 +641,6 @@ Simulator::run()
                             if (!ffDone[c])
                                 slices[c].cpu->skipIdleCycles(adv.edges);
                             slices[c].power->accrueIdleTicks(
-                                adv.edges, adv.ticks - adv.edges);
-                        }
-                        for (std::size_t r = 0; r < replicaCtrl.size();
-                             ++r) {
-                            // Each replica replays its own bulk idle
-                            // bookkeeping (edge split and idle-tick
-                            // banking are per-config; fanout only
-                            // mirrors the per-tick entry points).
-                            const VsvController::IdleAdvance adv =
-                                replicaCtrl[r].advanceIdle(now, jump,
-                                                           ffBudget[0]);
-                            VSV_ASSERT(adv.ticks == jump,
-                                       "replica idle commit shorter "
-                                       "than plan");
-                            replicaPower[r].accrueIdleTicks(
                                 adv.edges, adv.ticks - adv.edges);
                         }
                         if (uncorePower_) {
@@ -715,28 +661,11 @@ Simulator::run()
             CoreSlice &cs = slices[c];
             const bool edge = cs.vsvCtrl->beginTick(now);
             edgeThisTick[c] = edge;
-            // Lockstep replicas advance their clocks and voltages
-            // *before* the shared pipeline cycle runs, so the cycle's
-            // access energy fans out at each replica's tick-correct
-            // VDD. A replica whose pipeline-edge schedule diverges
-            // from the leader's would need the shared stream at a
-            // different rate - batch formation should have prevented
-            // that, so it is a fatal() (throwable inside a sweep
-            // worker, where the batch is re-run serially).
-            for (VsvController &rc : replicaCtrl) {
-                if (rc.beginTick(now) != edge) {
-                    fatal("lockstep replica edge schedule diverged "
-                          "from the leader at tick " +
-                          std::to_string(now));
-                }
-            }
             if (edge) {
                 std::uint32_t issued = 0;
                 if (cs.cpu->committedInstructions() < target)
                     issued = cs.cpu->cycle(now);
                 cs.vsvCtrl->observeIssueRate(issued);
-                for (VsvController &rc : replicaCtrl)
-                    rc.observeIssueRate(issued);
                 lastIssued[c] = issued;
             }
         }
@@ -787,12 +716,8 @@ Simulator::run()
         result.upTransitions += cs.vsvCtrl->upTransitions();
         energy += cs.power->totalEnergyPj() - energy0[c];
 
-        const double low_ticks = static_cast<double>(
-            cs.vsvCtrl->ticksInState(VsvState::Low) +
-            cs.vsvCtrl->ticksInState(VsvState::RampDown) +
-            cs.vsvCtrl->ticksInState(VsvState::UpClockDist) +
-            cs.vsvCtrl->ticksInState(VsvState::RampUp));
-        low_frac_sum += low_ticks / ticks_d;
+        low_frac_sum +=
+            static_cast<double>(cs.vsvCtrl->lowModeTicks()) / ticks_d;
     }
     if (uncorePower_)
         energy += uncorePower_->totalEnergyPj() - uncore_energy0;
@@ -817,12 +742,8 @@ Simulator::run()
             cr.energyPj = cs.power->totalEnergyPj() - energy0[c];
             cr.downTransitions = cs.vsvCtrl->downTransitions();
             cr.upTransitions = cs.vsvCtrl->upTransitions();
-            const double low_ticks = static_cast<double>(
-                cs.vsvCtrl->ticksInState(VsvState::Low) +
-                cs.vsvCtrl->ticksInState(VsvState::RampDown) +
-                cs.vsvCtrl->ticksInState(VsvState::UpClockDist) +
-                cs.vsvCtrl->ticksInState(VsvState::RampUp));
-            cr.lowModeFraction = low_ticks / ticks_d;
+            cr.lowModeFraction =
+                static_cast<double>(cs.vsvCtrl->lowModeTicks()) / ticks_d;
             result.perCore.push_back(std::move(cr));
         }
     }
@@ -839,23 +760,14 @@ Simulator::run()
                             static_cast<double>(result.ticks);
     result.warmupSeconds = warmupSeconds_;
 
-    // Replica results share every front-end/timing field with the
-    // leader (that sharing is exactly what batch formation proved
-    // legal); only the power/VSV accounting is per replica.
-    replicaResults_.reserve(replicaCtrl.size());
-    for (std::size_t r = 0; r < replicaCtrl.size(); ++r) {
+    // A replica's result is the leader's with its own energy: batch
+    // members differ only in the power accounting.
+    replicaResults_.reserve(replicaPower.size());
+    for (std::size_t r = 0; r < replicaPower.size(); ++r) {
         SimulationResult rr = result;
-        rr.downTransitions = replicaCtrl[r].downTransitions();
-        rr.upTransitions = replicaCtrl[r].upTransitions();
         rr.energyPj =
             replicaPower[r].totalEnergyPj() - replicaEnergy0[r];
         rr.avgPowerW = rr.energyPj / ticks_d * 1e-3;
-        const double low_ticks = static_cast<double>(
-            replicaCtrl[r].ticksInState(VsvState::Low) +
-            replicaCtrl[r].ticksInState(VsvState::RampDown) +
-            replicaCtrl[r].ticksInState(VsvState::UpClockDist) +
-            replicaCtrl[r].ticksInState(VsvState::RampUp));
-        rr.lowModeFraction = low_ticks / ticks_d;
         replicaResults_.push_back(std::move(rr));
     }
 

@@ -236,24 +236,15 @@ class Simulator
 
     /**
      * Lockstep replicas (config-parallel execution, DESIGN.md §5h):
-     * attach one extra VSV-config + power-config pair that rides the
-     * same decoded micro-op stream, front-end and memory hierarchy as
-     * this simulator's own ("leader") configuration. Each replica owns
-     * only a PowerModel + VsvController + rail state; the shared
-     * front-end's recordAccess()/tick() calls and L2-miss events fan
-     * out to every replica, and each replica drives its own pipeline
-     * VDD. Legal only for single-core runs, before warmup()/run(),
-     * and only for configs whose *timing* is identical to the
-     * leader's (same thresholds, divider, up-policy, circuit ticks
-     * and derived ramp duration - see structuralFingerprint()); a
-     * replica whose pipeline-edge schedule ever diverges from the
-     * leader's is a fatal() (throwable inside a sweep worker, where
-     * the batch falls back to serial execution).
+     * attach one extra PowerModelConfig that prices the same activity
+     * stream as this simulator's own ("leader") configuration. A
+     * replica is a follower PowerModel only: the leader's model
+     * mirrors every mutator into it, and the leader's controller
+     * drives the shared pipeline VDD - batch members share every
+     * option but `power` (see structuralFingerprint()). Legal only for
+     * single-core runs, before warmup()/run().
      */
-    void addReplica(const PowerModelConfig &power, const VsvConfig &vsv);
-
-    /** Number of attached replicas (leader not counted). */
-    std::size_t replicaCount() const { return replicaConfigs.size(); }
+    void addReplica(const PowerModelConfig &power);
 
     /** Replica r's measured-window results (valid after run()). */
     const SimulationResult &replicaResult(std::size_t r) const
@@ -262,10 +253,10 @@ class Simulator
     }
 
     /**
-     * Replica r's stat registry: its own power/vsv scalars plus the
-     * shared front-end scalars, registered in the exact serial
-     * single-core order so stat dumps are bit-identical to a serial
-     * run of that config.
+     * Replica r's stat registry: its own power scalars plus the
+     * shared front-end and controller scalars, registered in the exact
+     * serial single-core order so stat dumps are bit-identical to a
+     * serial run of that config.
      */
     const StatRegistry &replicaStats(std::size_t r) const
     {
@@ -320,32 +311,6 @@ class Simulator
     /** Build replica state + fanout wiring; runs once, pre-warmup. */
     void materializeReplicas();
 
-    /** Forwards hierarchy L2-miss events to the leader controller and
-     *  every replica controller, in attach order. */
-    struct MissFanout : MissListener
-    {
-        std::vector<MissListener *> targets;
-        void
-        demandL2MissDetected(Tick when, std::uint32_t outstanding) override
-        {
-            for (MissListener *t : targets)
-                t->demandL2MissDetected(when, outstanding);
-        }
-        void
-        demandL2MissReturned(Tick when, std::uint32_t outstanding) override
-        {
-            for (MissListener *t : targets)
-                t->demandL2MissReturned(when, outstanding);
-        }
-    };
-
-    /** Deferred replica configs (materialized just before warmup). */
-    struct ReplicaConfig
-    {
-        PowerModelConfig power;
-        VsvConfig vsv;
-    };
-
     SimulationOptions options;
     StatRegistry registry;
 
@@ -361,18 +326,13 @@ class Simulator
     std::unique_ptr<TraceSink> traceSink;
     std::unique_ptr<IntervalStatsSampler> sampler;
 
-    // Lockstep replica state, SoA: one exact-reserve()d arena vector
-    // per component kind (PowerModel, VsvController), so the hot
-    // per-tick loop walks contiguous memory and the PowerModel&
-    // references held by the controllers can never be invalidated by
-    // reallocation. Empty in ordinary (serial) runs.
-    std::vector<ReplicaConfig> replicaConfigs;
+    // Lockstep follower models. The leader's fanout and the replica
+    // registries point into this arena, so materializeReplicas() takes
+    // those pointers only after the last addReplica(). Empty in
+    // ordinary (serial) runs.
     std::vector<PowerModel> replicaPower;
-    std::vector<VsvController> replicaCtrl;
-    std::vector<PowerModel *> replicaPowerPtrs;
     std::vector<StatRegistry> replicaRegistries;
     std::vector<SimulationResult> replicaResults_;
-    std::unique_ptr<MissFanout> missFanout;
 
     Tick warmupTicks = 0;
     double warmupSeconds_ = 0.0;  ///< host time of functionalWarmup()

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <thread>
 
+#include "common/fnv1a.hh"
 #include "common/logging.hh"
 #include "common/minijson.hh"
 #include "harness/lockstep.hh"
@@ -313,10 +313,9 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 finished(members[0]);
                 continue;
             }
-            // A batch failure (including the simulator's lockstep
-            // divergence fatal()) is not a campaign failure: every
-            // member falls back to the normal isolated serial path,
-            // retries and all.
+            // A batch failure is not a campaign failure: every member
+            // falls back to the normal isolated serial path, retries
+            // and all.
             bool batched = false;
             try {
                 ScopedThrowingFatal guard;
@@ -375,30 +374,10 @@ applyRunSeed(SimulationOptions &options, std::uint64_t sweepSeed)
 namespace
 {
 
-/** FNV-1a 64 over the serialized knob text, as 16 hex digits. */
-std::string
-fingerprintHash(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
-} // namespace
-
 // Append helpers shared by configFingerprint (everything that can
-// change results), warmupFingerprint (the subset that can change
-// post-warmup state) and structuralFingerprint (the subset that can
-// change cycle-level behaviour; lockstep.cc).
-
-namespace fingerprint_detail
-{
+// change results) and warmupFingerprint (the subset that can change
+// post-warmup state), so the two cannot silently drift apart on the
+// knobs they share. Each appends a trailing separator.
 
 void
 appendPowerKnobs(std::ostream &s, const PowerModelConfig &p)
@@ -440,13 +419,6 @@ appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
       << stride.streams << sep << stride.degree << sep
       << stride.maxStrideBytes << sep;
 }
-
-} // namespace fingerprint_detail
-
-namespace
-{
-
-using namespace fingerprint_detail;
 
 /**
  * Every workload-generation knob (the Table 2 calibration targets are
@@ -521,7 +493,7 @@ configFingerprint(const SimulationOptions &o)
     s << o.cores << sep << static_cast<int>(o.railPolicy) << sep;
     for (const std::string &bench : o.coreBenchmarks)
         s << bench << sep;
-    return fingerprintHash(s.str());
+    return fnv1a64Hex(s.str());
 }
 
 std::string
@@ -559,7 +531,7 @@ warmupFingerprint(const SimulationOptions &o)
     s << o.cores << sep;
     for (const std::string &bench : o.coreBenchmarks)
         s << bench << sep;
-    return fingerprintHash(s.str());
+    return fnv1a64Hex(s.str());
 }
 
 std::string
@@ -573,7 +545,7 @@ sweepGridFingerprint(const std::vector<SweepJob> &jobs)
     s << "grid-v1|" << jobs.size() << '|';
     for (const SweepJob &job : jobs)
         s << job.id << '|' << configFingerprint(job.options) << '|';
-    return fingerprintHash(s.str());
+    return fnv1a64Hex(s.str());
 }
 
 std::string_view

@@ -304,19 +304,6 @@ void applyRunSeed(SimulationOptions &options, std::uint64_t sweepSeed);
  */
 std::string configFingerprint(const SimulationOptions &options);
 
-namespace fingerprint_detail
-{
-// Knob-serialization helpers shared by configFingerprint /
-// warmupFingerprint (sweep.cc) and structuralFingerprint
-// (lockstep.cc), so the three fingerprints cannot silently drift
-// apart on the knobs they share. Each appends a trailing separator.
-void appendPowerKnobs(std::ostream &s, const PowerModelConfig &p);
-void appendCacheKnobs(std::ostream &s, const HierarchyConfig &h);
-void appendBranchKnobs(std::ostream &s, const BranchPredictorConfig &b);
-void appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
-                           const StridePrefetcherConfig &stride);
-} // namespace fingerprint_detail
-
 /**
  * Stable 64-bit hex fingerprint of exactly the options that can
  * influence post-warmup simulator state: the full workload profile

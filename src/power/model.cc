@@ -80,6 +80,8 @@ PowerModel::cacheVoltageSq()
 void
 PowerModel::setPipelineVdd(double vdd)
 {
+    for (std::size_t f = 0; f < fanoutCount_; ++f)
+        fanout_[f].setPipelineVdd(vdd);
     VSV_ASSERT(vdd >= config_.vddLow - 1e-9 &&
                vdd <= config_.vddHigh + 1e-9,
                "pipeline VDD outside [VDDL, VDDH]");
@@ -94,6 +96,8 @@ PowerModel::setPipelineVdd(double vdd)
 void
 PowerModel::addRampEnergy(Tick when)
 {
+    for (std::size_t f = 0; f < fanoutCount_; ++f)
+        fanout_[f].addRampEnergy(when);
     rampEnergy += config_.rampEnergyPj;
     if (trace) {
         trace->record(TraceCategory::Power, TraceEventKind::RampEnergy,
@@ -107,7 +111,7 @@ void
 PowerModel::tick(bool pipeline_edge)
 {
     for (std::size_t f = 0; f < fanoutCount_; ++f)
-        fanout_[f]->tick(pipeline_edge);
+        fanout_[f].tick(pipeline_edge);
 
     ++ticks;
     if (pipeline_edge)
@@ -133,6 +137,8 @@ PowerModel::tick(bool pipeline_edge)
 void
 PowerModel::accrueIdleTicks(std::uint64_t edges, std::uint64_t no_edges)
 {
+    for (std::size_t f = 0; f < fanoutCount_; ++f)
+        fanout_[f].accrueIdleTicks(edges, no_edges);
     VSV_ASSERT(!anyAccessThisTick,
                "accrueIdleTicks with accesses not yet closed by tick()");
     ticks += static_cast<double>(edges + no_edges);

@@ -102,7 +102,13 @@ class PowerModel
      * pipeline is in (or ramping through) the low-power path so the
      * level-converting latches are selected.
      */
-    void setLowPowerPath(bool low) { lowPowerPath = low; }
+    void
+    setLowPowerPath(bool low)
+    {
+        for (std::size_t f = 0; f < fanoutCount_; ++f)
+            fanout_[f].setLowPowerPath(low);
+        lowPowerPath = low;
+    }
 
     /**
      * Charge one ramp's dual-rail network energy (66 nJ). `when` is
@@ -122,17 +128,17 @@ class PowerModel
     }
 
     /**
-     * Lockstep fanout: mirror every recordAccess() and tick() into
-     * `n` follower models (each charging at its *own* pipeline VDD /
-     * latch-path selection, as pushed by its replica's controller).
-     * Only those two methods forward - controller-driven calls
-     * (setPipelineVdd, setLowPowerPath, addRampEnergy) and the idle
-     * banking entry point accrueIdleTicks() are made per replica by
-     * the lockstep executor, so each follower replays exactly the
-     * call sequence a serial run of its config would see. Followers
-     * must outlive the fanout window; pass (nullptr, 0) to detach.
+     * Lockstep fanout (DESIGN.md §5h): mirror every mutator -
+     * recordAccess(), tick(), setPipelineVdd(), setLowPowerPath(),
+     * addRampEnergy() and accrueIdleTicks() - into `n` follower
+     * models, each pricing the activity under its own
+     * PowerModelConfig. Batch members share the leader's VsvConfig, so
+     * every follower sees exactly the call sequence a serial run of
+     * its config would make. Energy reads (and the idle flushes they
+     * imply) do not forward. Followers must outlive the fanout window;
+     * pass (nullptr, 0) to detach.
      */
-    void setFanout(PowerModel *const *followers, std::size_t n)
+    void setFanout(PowerModel *followers, std::size_t n)
     {
         fanout_ = n ? followers : nullptr;
         fanoutCount_ = n;
@@ -146,7 +152,7 @@ class PowerModel
     recordAccess(PowerStructure s, double count = 1.0)
     {
         for (std::size_t f = 0; f < fanoutCount_; ++f)
-            fanout_[f]->recordAccess(s, count);
+            fanout_[f].recordAccess(s, count);
 
         const auto idx = static_cast<std::size_t>(s);
         accessesThisTick[idx] += count;
@@ -253,7 +259,7 @@ class PowerModel
     TraceSink *trace = nullptr;
     std::uint16_t traceCore = 0;
     /** Lockstep follower models; see setFanout(). */
-    PowerModel *const *fanout_ = nullptr;
+    PowerModel *fanout_ = nullptr;
     std::size_t fanoutCount_ = 0;
 
     std::array<double, numPowerStructures> accessesThisTick{};

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "common/fnv1a.hh"
 #include "common/logging.hh"
 #include "common/minijson.hh"
 #include "stats/stats.hh"
@@ -20,17 +21,6 @@ namespace store
 
 namespace detail
 {
-
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
 
 namespace
 {

@@ -188,9 +188,6 @@ namespace detail
 // Exposed for unit tests; everything below is an implementation
 // detail of the .vsvres envelope.
 
-/** FNV-1a 64 over a byte string (the envelope checksum). */
-std::uint64_t fnv1a64(const std::string &bytes);
-
 /**
  * LZSS-compress `input` (64 KiB window, 4..259-byte matches, 8-flag
  * control bytes). Returns nullopt when compression does not shrink

@@ -187,6 +187,15 @@ class VsvController : public MissListener
         return static_cast<std::uint64_t>(
             stateTicks[static_cast<std::size_t>(state)].value());
     }
+    /** Ticks at VDDL or on a ramp: Low, RampDown, UpClockDist and
+     *  RampUp (the numerator of the low-mode fraction). */
+    std::uint64_t lowModeTicks() const
+    {
+        return ticksInState(VsvState::Low) +
+               ticksInState(VsvState::RampDown) +
+               ticksInState(VsvState::UpClockDist) +
+               ticksInState(VsvState::RampUp);
+    }
     std::uint64_t downTransitions() const
     {
         return static_cast<std::uint64_t>(downCount.value());

@@ -1,11 +1,11 @@
 /**
  * @file
  * Batch-formation unit tests for the lockstep executor: the
- * structural fingerprint must key exactly the options that can change
- * cycle-level behaviour (same thresholds/divider grid batches;
- * differing cores/benchmark/prefetcher splits), eligibility must
- * reject runs the shared front-end cannot serve, and the planner must
- * group, chunk and count accordingly.
+ * structural fingerprint must key every option but the power
+ * accounting (power-only variants batch; differing rails, thresholds,
+ * cores, benchmark or prefetcher split), eligibility must reject runs
+ * the shared front-end cannot serve, the planner must group, chunk and
+ * count accordingly, and a failed batch must fall back to serial runs.
  */
 
 #include <gtest/gtest.h>
@@ -46,18 +46,19 @@ TEST(StructuralFingerprintTest, IgnoresEveryPowerAccountingKnob)
     EXPECT_NE(configFingerprint(a), configFingerprint(b));
 }
 
-TEST(StructuralFingerprintTest, IgnoresVoltagePairWithEqualRampTicks)
+TEST(StructuralFingerprintTest, SeparatesVoltagePairWithEqualRampTicks)
 {
     // 1.8 -> 1.2 V at 0.05 V/tick and 1.8 -> 1.32 V at 0.04 V/tick
     // are both exactly 12 ramp ticks: same timing, different energy.
+    // Batch members share the leader's controller and its rail, so
+    // even a timing-neutral rail change keeps them apart.
     const SimulationOptions a = fsmOptions();
     SimulationOptions b = a;
     b.vsv.vddLow = 1.32;
     b.vsv.slewVoltsPerTick = 0.04;
     b.power.vddLow = 1.32;
 
-    EXPECT_EQ(structuralFingerprint(a), structuralFingerprint(b));
-    EXPECT_NE(configFingerprint(a), configFingerprint(b));
+    EXPECT_NE(structuralFingerprint(a), structuralFingerprint(b));
 }
 
 TEST(StructuralFingerprintTest, SeparatesEveryTimingKnob)
@@ -203,6 +204,33 @@ TEST(LockstepRunnerTest, IdenticalConfigsBatchAndMatchSerial)
         EXPECT_EQ(got[i].status, SweepStatus::Ok);
         EXPECT_EQ(got[i].scalars, want[i].scalars) << jobs[i].id;
         EXPECT_EQ(got[i].statsJson, want[i].statsJson) << jobs[i].id;
+    }
+}
+
+TEST(LockstepRunnerTest, FailedBatchFallsBackToSerialRuns)
+{
+    // The leader cannot open the shared trace, so the batch throws;
+    // each member then re-runs through the isolated serial path and
+    // fails there with the same message.
+    SimulationOptions options = fsmOptions();
+    options.tracePath = "/nonexistent/lockstep-fallback.trace";
+    SweepJob a{"a", options};
+    SweepJob b{"b", options};
+    b.options.power.idleFraction = 0.2;
+    const std::vector<SweepJob> jobs{a, b};
+
+    SweepRunner runner(1);
+    runner.enableLockstep(8);
+    const std::vector<SweepOutcome> got = runner.run(jobs);
+
+    EXPECT_EQ(runner.lockstepStats().batches, 1u);
+    EXPECT_EQ(runner.lockstepStats().fallbacks, 1u);
+    ASSERT_EQ(got.size(), jobs.size());
+    for (const SweepOutcome &outcome : got) {
+        EXPECT_EQ(outcome.status, SweepStatus::Error) << outcome.id;
+        EXPECT_NE(outcome.error.find("cannot open trace file"),
+                  std::string::npos)
+            << outcome.id << ": " << outcome.error;
     }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -109,6 +110,24 @@ sweepStatusFromName(std::string_view name)
         return SweepStatus::Timeout;
     throw std::runtime_error("unknown sweep status: " +
                              std::string(name));
+}
+
+std::size_t
+pickNextTask(const std::vector<std::size_t> &taskWarmup,
+             const std::vector<char> &started,
+             const std::vector<WarmupPhase> &phase)
+{
+    std::size_t follower = started.size();
+    for (std::size_t t = 0; t < started.size(); ++t) {
+        if (started[t])
+            continue;
+        const std::size_t w = taskWarmup[t];
+        if (w == kNoWarmup || phase[w] != WarmupPhase::InFlight)
+            return t;
+        if (follower == started.size())
+            follower = t;
+    }
+    return follower;
 }
 
 SweepRunner::SweepRunner(unsigned jobs, unsigned retries)
@@ -289,12 +308,49 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             tasks.push_back({{i}});
     }
 
-    // Workers pull the next un-run task; each outcome lands in its
-    // submission slot, so the result vector is schedule-independent.
-    std::atomic<std::size_t> next{0};
+    // Plan the warmups: each single-job task acquires its warmup from
+    // the cache once (retries aside), so the cache knows how many
+    // restores each snapshot will serve and when to free it. Lockstep
+    // batches never touch the cache.
+    std::vector<std::size_t> taskWarmup(tasks.size(), kNoWarmup);
+    std::map<std::string, std::size_t> warmupIds;
+    std::map<std::string, std::size_t> consumers;
+    if (snapshotCache_) {
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+            if (tasks[t].members.size() != 1)
+                continue;
+            const std::string fp =
+                warmupFingerprint(jobs[tasks[t].members[0]].options);
+            taskWarmup[t] =
+                warmupIds.try_emplace(fp, warmupIds.size()).first->second;
+            ++consumers[fp];
+        }
+    }
+    std::mutex scheduleMutex;
+    std::vector<char> started(tasks.size(), 0);
+    std::vector<WarmupPhase> phase(warmupIds.size(), WarmupPhase::Idle);
+    struct EndPlan
+    {
+        WarmupSnapshotCache *cache;
+        ~EndPlan()
+        {
+            if (cache)
+                cache->plan({});
+        }
+    } endPlan{snapshotCache_};
+    if (snapshotCache_) {
+        snapshotCache_->plan(consumers, [&](const std::string &fp) {
+            std::lock_guard<std::mutex> lock(scheduleMutex);
+            phase[warmupIds.at(fp)] = WarmupPhase::Published;
+        });
+    }
+
+    // Workers take tasks in submission order, except that a task whose
+    // warmup another worker is still computing waits while any other
+    // task can start. Each outcome lands in its submission slot, so
+    // the result vector is schedule-independent.
     std::atomic<std::uint64_t> fallbacks{0};
-    auto worker = [this, &jobs, &tasks, &outcomes, &served, &next,
-                   &fallbacks, &onOutcome]() {
+    auto worker = [&]() {
         const auto finished = [&](std::size_t i) {
             if (resultStore_ && !served[i] &&
                 outcomes[i].status == SweepStatus::Ok)
@@ -303,10 +359,17 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 onOutcome(i, outcomes[i]);
         };
         for (;;) {
-            const std::size_t t =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (t >= tasks.size())
-                return;
+            std::size_t t;
+            {
+                std::lock_guard<std::mutex> lock(scheduleMutex);
+                t = pickNextTask(taskWarmup, started, phase);
+                if (t == tasks.size())
+                    return;
+                started[t] = 1;
+                const std::size_t w = taskWarmup[t];
+                if (w != kNoWarmup && phase[w] == WarmupPhase::Idle)
+                    phase[w] = WarmupPhase::InFlight;
+            }
             const std::vector<std::size_t> &members = tasks[t].members;
             if (members.size() == 1) {
                 outcomes[members[0]] = runWithRetries(jobs[members[0]]);

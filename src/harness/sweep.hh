@@ -185,7 +185,9 @@ class SweepRunner
      * Deduplicate functional warmup across this runner's jobs through
      * `cache` (shared by all workers; must outlive run()). Runs whose
      * warmup fingerprints collide warm up once and restore snapshots
-     * thereafter - bit-identical results either way.
+     * thereafter - bit-identical results either way. Each run() plans
+     * the cache with its tasks' warmups (WarmupSnapshotCache::plan)
+     * and dispatches around warmups still in flight (pickNextTask).
      */
     void enableWarmupSnapshots(WarmupSnapshotCache &cache)
     {
@@ -256,6 +258,29 @@ class SweepRunner
     LockstepStats lockstepStats_;
     store::ResultStore *resultStore_ = nullptr;
 };
+
+/** Where a task's warmup stands, as the sweep's dispatcher sees it. */
+enum class WarmupPhase : unsigned char
+{
+    Idle,       ///< no task of this warmup has started
+    InFlight,   ///< a started task is warming it up
+    Published,  ///< its snapshot bytes are available (or it failed)
+};
+
+/** A task that acquires no warmup (a lockstep batch, or no cache). */
+constexpr std::size_t kNoWarmup = static_cast<std::size_t>(-1);
+
+/**
+ * The task a free sweep worker starts next: the lowest-index
+ * unstarted task whose warmup is not in flight on another worker.
+ * When every unstarted task waits on such a warmup, the lowest-index
+ * unstarted task, whose worker then waits in
+ * WarmupSnapshotCache::acquire. `taskWarmup[t]` indexes `phase` (or
+ * is kNoWarmup). Returns started.size() once every task has started.
+ */
+std::size_t pickNextTask(const std::vector<std::size_t> &taskWarmup,
+                         const std::vector<char> &started,
+                         const std::vector<WarmupPhase> &phase);
 
 /**
  * Package a completed (status=ok) outcome as a store entry: the result

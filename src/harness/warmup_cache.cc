@@ -1,9 +1,13 @@
 #include "warmup_cache.hh"
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <istream>
+#include <iterator>
 #include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include <unistd.h>
@@ -13,6 +17,49 @@
 
 namespace vsv
 {
+
+namespace
+{
+
+/**
+ * A read-only, seekable stream source over bytes owned elsewhere, so a
+ * restore reads the shared snapshot in place instead of copying it.
+ */
+class ByteView : public std::streambuf
+{
+  public:
+    explicit ByteView(std::string_view bytes)
+    {
+        // The get area is non-const by signature only; nothing writes
+        // through it.
+        char *begin = const_cast<char *>(bytes.data());
+        setg(begin, begin, begin + bytes.size());
+    }
+
+  protected:
+    pos_type
+    seekoff(off_type off, std::ios_base::seekdir dir,
+            std::ios_base::openmode which) override
+    {
+        const off_type size = egptr() - eback();
+        const off_type base = dir == std::ios_base::beg   ? 0
+                              : dir == std::ios_base::cur ? gptr() - eback()
+                                                          : size;
+        const off_type target = base + off;
+        if (!(which & std::ios_base::in) || target < 0 || target > size)
+            return pos_type(off_type(-1));
+        setg(eback(), eback() + target, egptr());
+        return pos_type(target);
+    }
+
+    pos_type
+    seekpos(pos_type pos, std::ios_base::openmode which) override
+    {
+        return seekoff(off_type(pos), std::ios_base::beg, which);
+    }
+};
+
+} // namespace
 
 WarmupSnapshotCache::WarmupSnapshotCache(std::string disk_dir)
     : diskDir_(std::move(disk_dir))
@@ -34,7 +81,7 @@ WarmupSnapshotCache::snapshotPath(const std::string &fingerprint) const
 }
 
 bool
-WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
+WarmupSnapshotCache::tryRestore(Simulator &sim, std::string_view bytes,
                                 const std::string &fingerprint)
 {
     try {
@@ -43,7 +90,8 @@ WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
         // sweep worker's own) so a bad snapshot degrades to a fresh
         // warmup instead of failing the run.
         ScopedThrowingFatal guard;
-        std::istringstream is(bytes);
+        ByteView view(bytes);
+        std::istream is(&view);
         sim.restoreFrom(is, fingerprint);
         return true;
     } catch (const std::exception &e) {
@@ -55,12 +103,17 @@ WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
 WarmupSnapshotCache::Bytes
 WarmupSnapshotCache::loadFromDisk(const std::string &fingerprint) const
 {
-    std::ifstream is(snapshotPath(fingerprint), std::ios::binary);
+    std::ifstream is(snapshotPath(fingerprint),
+                     std::ios::binary | std::ios::ate);
     if (!is)
         return nullptr;  // nothing on disk for this fingerprint
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    return std::make_shared<const std::string>(buffer.str());
+    std::string bytes(static_cast<std::size_t>(is.tellg()), '\0');
+    is.seekg(0);
+    // A file that shrank under us leaves a short buffer; the restore
+    // rejects it as truncated.
+    if (!is.read(bytes.data(), static_cast<std::streamsize>(bytes.size())))
+        bytes.resize(static_cast<std::size_t>(is.gcount()));
+    return std::make_shared<const std::string>(std::move(bytes));
 }
 
 void
@@ -108,6 +161,22 @@ WarmupSnapshotCache::quarantineSnapshot(
     // directory is read-only - nothing further to do either way.
 }
 
+void
+WarmupSnapshotCache::plan(
+    const std::map<std::string, std::size_t> &consumers,
+    WarmedCallback onWarmed)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    for (auto it = entries.begin(); it != entries.end();) {
+        it->second.planned = 0;
+        // An unclaimed entry only carried an old plan's count.
+        it = it->second.bytes.valid() ? std::next(it) : entries.erase(it);
+    }
+    for (const auto &[fingerprint, count] : consumers)
+        entries[fingerprint].planned = count;
+    onWarmed_ = std::move(onWarmed);
+}
+
 std::unique_ptr<Simulator>
 WarmupSnapshotCache::acquire(const SimulationOptions &options)
 {
@@ -116,15 +185,29 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
     std::promise<Bytes> promise;
     std::shared_future<Bytes> future;
     bool computer = false;
+    // Whether the bytes this worker computes stay in memory: outside a
+    // plan always, under one only while planned acquires remain.
+    bool keep = true;
+    WarmedCallback warmed;
     {
         std::lock_guard<std::mutex> lock(mutex);
-        const auto it = entries.find(fingerprint);
-        if (it == entries.end()) {
-            future = promise.get_future().share();
-            entries.emplace(fingerprint, future);
-            computer = true;
+        Entry &entry = entries[fingerprint];
+        const bool planned = entry.planned > 0;
+        if (planned) {
+            --entry.planned;
+            warmed = onWarmed_;
+        }
+        if (entry.bytes.valid()) {
+            future = entry.bytes;
+            // The last planned acquire takes the cache's reference
+            // with it: the bytes are freed once its restore is done.
+            if (planned && entry.planned == 0)
+                entries.erase(fingerprint);
         } else {
-            future = it->second;
+            future = promise.get_future().share();
+            entry.bytes = future;
+            computer = true;
+            keep = !planned || entry.planned > 0;
         }
     }
 
@@ -134,6 +217,8 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
         // back to a fresh warmup, which will surface the same error
         // under this run's id if the configuration itself is bad.
         const Bytes bytes = future.get();
+        if (warmed)
+            warmed(fingerprint);
         if (bytes) {
             auto sim = std::make_unique<Simulator>(options);
             if (tryRestore(*sim, *bytes, fingerprint)) {
@@ -149,15 +234,27 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
         return sim;
     }
 
+    // Publish exactly once, unblocking any waiters; bytes nobody will
+    // restore from memory leave the map straight away.
+    const auto publish = [&](Bytes bytes) {
+        promise.set_value(std::move(bytes));
+        if (!keep) {
+            std::lock_guard<std::mutex> lock(mutex);
+            entries.erase(fingerprint);
+        }
+        if (warmed)
+            warmed(fingerprint);
+    };
+
     // This worker computes the fingerprint's warmup: probe the disk,
-    // else warm up fresh; either way publish the bytes exactly once.
+    // else warm up fresh.
     try {
         if (!diskDir_.empty()) {
             if (const Bytes bytes = loadFromDisk(fingerprint)) {
                 auto sim = std::make_unique<Simulator>(options);
                 if (tryRestore(*sim, *bytes, fingerprint)) {
                     diskHits_.fetch_add(1, std::memory_order_relaxed);
-                    promise.set_value(bytes);
+                    publish(bytes);
                     return sim;
                 }
                 failures_.fetch_add(1, std::memory_order_relaxed);
@@ -168,17 +265,23 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
         misses_.fetch_add(1, std::memory_order_relaxed);
         auto sim = std::make_unique<Simulator>(options);
         sim->warmup();
-        std::ostringstream os;
-        sim->snapshotTo(os, fingerprint);
-        const Bytes bytes =
-            std::make_shared<const std::string>(os.str());
-        if (!diskDir_.empty())
-            saveToDisk(fingerprint, *bytes);
-        promise.set_value(bytes);
+        // Encode only bytes something reads back: a later acquire in
+        // memory, or a later campaign from the disk directory.
+        Bytes bytes;
+        if (keep || !diskDir_.empty()) {
+            std::ostringstream os;
+            sim->snapshotTo(os, fingerprint);
+            bytes = std::make_shared<const std::string>(std::move(os).str());
+            encodedBytes_.fetch_add(bytes->size(),
+                                    std::memory_order_relaxed);
+            if (!diskDir_.empty())
+                saveToDisk(fingerprint, *bytes);
+        }
+        publish(std::move(bytes));
         return sim;
     } catch (...) {
         // Unblock the waiters before propagating; they warm up fresh.
-        promise.set_value(nullptr);
+        publish(nullptr);
         throw;
     }
 }
@@ -193,6 +296,22 @@ WarmupSnapshotCache::stats() const
     out.diskHits = diskHits_.load(std::memory_order_relaxed);
     out.failures = failures_.load(std::memory_order_relaxed);
     return out;
+}
+
+std::size_t
+WarmupSnapshotCache::residentBytes() const
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    std::size_t total = 0;
+    for (const auto &[fingerprint, entry] : entries) {
+        if (!entry.bytes.valid() ||
+            entry.bytes.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready)
+            continue;
+        if (const Bytes &bytes = entry.bytes.get())
+            total += bytes->size();
+    }
+    return total;
 }
 
 } // namespace vsv

@@ -204,6 +204,13 @@ SnapshotReader::begin(std::string_view expected_tag)
         corrupt("expected section '" + std::string(expected_tag) +
                 "', found '" + tag + "'");
     }
+    // The declared size is untrusted: a forged header could claim
+    // terabytes. Refuse a size beyond what the stream still holds
+    // before allocating anything for it.
+    if (size > bytesLeft()) {
+        corrupt("section '" + tag + "' declares " +
+                std::to_string(size) + " bytes, more than remain");
+    }
     payload.resize(size);
     is.read(payload.data(), static_cast<std::streamsize>(size));
     std::uint64_t checksum = 0;
@@ -214,6 +221,20 @@ SnapshotReader::begin(std::string_view expected_tag)
         corrupt("checksum mismatch in section '" + tag + "'");
     cursor = 0;
     inSection = true;
+}
+
+std::uint64_t
+SnapshotReader::bytesLeft()
+{
+    std::streambuf &buf = *is.rdbuf();
+    const auto here = buf.pubseekoff(0, std::ios_base::cur,
+                                     std::ios_base::in);
+    const auto end = buf.pubseekoff(0, std::ios_base::end,
+                                    std::ios_base::in);
+    if (here == std::streampos(-1) || end == std::streampos(-1))
+        corrupt("stream cannot report its size");
+    buf.pubseekpos(here, std::ios_base::in);
+    return static_cast<std::uint64_t>(end - here);
 }
 
 void

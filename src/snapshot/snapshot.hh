@@ -98,7 +98,9 @@ class SnapshotReader
 {
   public:
     /** Parses and validates the header; throws SnapshotError on bad
-     *  magic, unsupported version, or a truncated stream. */
+     *  magic, unsupported version, or a truncated stream. The stream
+     *  must be seekable, so that a section's declared size can be
+     *  checked against the bytes that remain before it is read. */
     explicit SnapshotReader(std::istream &is);
 
     /** The warmup fingerprint recorded at write time. */
@@ -134,6 +136,8 @@ class SnapshotReader
   private:
     /** Pull `n` payload bytes; throws on exhaustion. */
     const char *take(std::size_t n);
+    /** Unread bytes left in the stream (which must be seekable). */
+    std::uint64_t bytesLeft();
 
     std::istream &is;
     std::string fingerprint_;

@@ -33,6 +33,37 @@ smallGrid(std::uint64_t sweep_seed = 0)
     return jobs;
 }
 
+TEST(SweepDispatchTest, TasksWaitingOnAWarmupInFlightGoLast)
+{
+    // Tasks A, A', B, B': A and A' share warmup 0, B and B' warmup 1.
+    const std::vector<std::size_t> warmup = {0, 0, 1, 1};
+    using P = WarmupPhase;
+
+    // Nothing started: submission order.
+    EXPECT_EQ(pickNextTask(warmup, {0, 0, 0, 0}, {P::Idle, P::Idle}), 0u);
+    // A is warming: its follower A' waits while B can start.
+    EXPECT_EQ(pickNextTask(warmup, {1, 0, 0, 0}, {P::InFlight, P::Idle}),
+              2u);
+    // A's bytes are published: A' is next again.
+    EXPECT_EQ(pickNextTask(warmup, {1, 0, 0, 0},
+                           {P::Published, P::Idle}),
+              1u);
+    // B is warming too: B' also waits, so A' is still the pick.
+    EXPECT_EQ(pickNextTask(warmup, {1, 0, 1, 0},
+                           {P::InFlight, P::InFlight}),
+              1u);
+    // Only A' is left: its worker waits on A's warmup in acquire.
+    EXPECT_EQ(pickNextTask(warmup, {1, 0, 1, 1},
+                           {P::InFlight, P::Published}),
+              1u);
+    // Everything started.
+    EXPECT_EQ(pickNextTask(warmup, {1, 1, 1, 1},
+                           {P::Published, P::Published}),
+              4u);
+    // A task without a warmup (a lockstep batch) never waits.
+    EXPECT_EQ(pickNextTask({0, kNoWarmup}, {0, 0}, {P::InFlight}), 1u);
+}
+
 TEST(SweepRunnerTest, ParallelMatchesSerialBitIdentically)
 {
     const std::vector<SweepJob> jobs = smallGrid();

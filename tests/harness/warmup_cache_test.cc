@@ -1,17 +1,23 @@
 /**
  * @file
  * WarmupSnapshotCache contracts: one warmup per fingerprint under a
- * parallel sweep, the fingerprint's sensitivity boundary (warmup-
- * affecting knobs in, measurement-only knobs out), disk persistence
- * with corrupt files degrading to misses, and the cache counters'
- * appearance in the sweep manifest.
+ * parallel sweep, the sweep plan (encode only what is restored, free
+ * it after the last restore, retries outside the plan), the
+ * fingerprint's sensitivity boundary (warmup-affecting knobs in,
+ * measurement-only knobs out), disk persistence with corrupt or forged
+ * files degrading to misses, and the cache counters' appearance in the
+ * sweep manifest.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -70,6 +76,97 @@ TEST(WarmupCacheTest, OneWarmupPerFingerprintUnderParallelSweep)
     EXPECT_EQ(stats.hits, 4u);
     EXPECT_EQ(stats.diskHits, 0u);
     EXPECT_EQ(stats.failures, 0u);
+}
+
+TEST(WarmupCacheTest, PlannedSweepFreesEverySnapshotItRestored)
+{
+    // Figure 4's shape: three runs per warmup. Each warmup is encoded
+    // for its two restores and let go after the last one.
+    SweepRunner runner(4);
+    WarmupSnapshotCache cache;
+    runner.enableWarmupSnapshots(cache);
+    for (const SweepOutcome &out : runner.run(twoBenchmarkGrid()))
+        EXPECT_EQ(out.status, SweepStatus::Ok) << out.id << out.error;
+
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 4u);
+    EXPECT_GT(cache.encodedBytes(), 0u);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+}
+
+TEST(WarmupCacheTest, SingleConsumerWarmupsAreNeverEncoded)
+{
+    // Table 2's shape: every warmup has exactly one run, so no
+    // snapshot would ever be restored and none is made.
+    std::vector<SweepJob> jobs;
+    for (const std::string name : {"mcf", "ammp", "art"})
+        jobs.push_back({name, makeOptions(name, false, 5000, 3000)});
+
+    SweepRunner runner(2);
+    WarmupSnapshotCache cache;
+    runner.enableWarmupSnapshots(cache);
+    const std::vector<SweepOutcome> outcomes = runner.run(
+        jobs, [&cache](std::size_t, const SweepOutcome &) {
+            EXPECT_EQ(cache.residentBytes(), 0u);
+        });
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_EQ(outcomes[i].status, SweepStatus::Ok) << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].statsJson,
+                  SweepRunner::runOne(jobs[i]).statsJson);
+    }
+    const SnapshotCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, jobs.size());
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(cache.encodedBytes(), 0u);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+}
+
+TEST(WarmupCacheTest, SingleConsumerWarmupIsStillWrittenToDisk)
+{
+    // A later campaign reads the directory, so a warmup with one run
+    // in this sweep is still persisted there - but not kept in memory.
+    const std::string dir = freshDir("vsv_warmup_cache_single_disk");
+    const SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
+    SweepRunner runner(1);
+    WarmupSnapshotCache cache(dir);
+    runner.enableWarmupSnapshots(cache);
+    ASSERT_EQ(runner.run({{"mcf", options}})[0].status, SweepStatus::Ok);
+
+    EXPECT_TRUE(std::filesystem::exists(
+        dir + "/" + warmupFingerprint(options) + ".vsvsnap"));
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(WarmupCacheTest, RetryBeyondThePlanStillSucceeds)
+{
+    // The follower's first attempt restores the last planned copy of
+    // the snapshot, which the cache then lets go of, and is aborted in
+    // its measured window. Its retry is an acquire outside the plan:
+    // it warms up afresh and keeps its bytes, as a direct runOne does.
+    const SimulationOptions base = makeOptions("mcf", false, 20000, 3000);
+    SimulationOptions flaky = base;
+    flaky.vsv = fsmVsvConfig();
+    const SweepOutcome reference = SweepRunner::runOne({"mcf/fsm", flaky});
+    auto polls = std::make_shared<std::atomic<int>>(0);
+    flaky.abortHook = [polls] { return polls->fetch_add(1) == 0; };
+
+    SweepRunner runner(1, 1);
+    WarmupSnapshotCache cache;
+    runner.enableWarmupSnapshots(cache);
+    const std::vector<SweepOutcome> outcomes =
+        runner.run({{"mcf/base", base}, {"mcf/fsm", flaky}});
+
+    EXPECT_EQ(outcomes[0].status, SweepStatus::Ok) << outcomes[0].error;
+    ASSERT_EQ(outcomes[1].status, SweepStatus::Ok) << outcomes[1].error;
+    EXPECT_EQ(outcomes[1].attempts, 2u);
+    EXPECT_EQ(outcomes[1].statsJson, reference.statsJson);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_GT(cache.residentBytes(), 0u);
 }
 
 TEST(WarmupCacheTest, ManifestRecordsCacheCounters)
@@ -207,6 +304,52 @@ TEST(WarmupCacheTest, TruncatedDiskFileIsAMissNotAnError)
     // under the original name.
     EXPECT_TRUE(std::filesystem::exists(path + ".bad"));
     EXPECT_TRUE(std::filesystem::exists(path));
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(WarmupCacheTest, ForgedSectionSizeIsQuarantinedNotAllocated)
+{
+    // A snapshot whose first section declares 2^40 payload bytes is
+    // corruption like any other: quarantined, warmed afresh, and the
+    // run succeeds.
+    const std::string dir = freshDir("vsv_warmup_cache_forged");
+    const SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
+    const std::string path =
+        dir + "/" + warmupFingerprint(options) + ".vsvsnap";
+    {
+        WarmupSnapshotCache cache(dir);
+        SweepRunner::runOne({"mcf", options}, &cache);
+    }
+    std::string bytes;
+    {
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        bytes = os.str();
+    }
+    // Header: magic(4) + version(4) + fingerprint length(4) + bytes;
+    // then the first section's tag length(4) + tag, then its size.
+    std::uint32_t fp_len = 0;
+    std::memcpy(&fp_len, bytes.data() + 8, sizeof(fp_len));
+    std::uint32_t tag_len = 0;
+    std::memcpy(&tag_len, bytes.data() + 12 + fp_len, sizeof(tag_len));
+    const std::size_t size_at = 12 + fp_len + 4 + tag_len;
+    const std::uint64_t forged = std::uint64_t{1} << 40;
+    std::memcpy(bytes.data() + size_at, &forged, sizeof(forged));
+    bytes.resize(size_at + sizeof(forged) + 16);
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << bytes;
+    }
+
+    WarmupSnapshotCache cache(dir);
+    const SweepOutcome out = SweepRunner::runOne({"mcf", options}, &cache);
+    EXPECT_EQ(out.status, SweepStatus::Ok);
+    EXPECT_EQ(cache.stats().failures, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_TRUE(std::filesystem::exists(path + ".bad"));
+    EXPECT_EQ(std::filesystem::file_size(path + ".bad"), bytes.size());
 
     std::filesystem::remove_all(dir);
 }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -157,6 +158,31 @@ TEST(SnapshotFormatTest, TruncationThrows)
             },
             SnapshotError)
             << "prefix of " << keep << " bytes accepted";
+    }
+}
+
+TEST(SnapshotFormatTest, ForgedSectionSizeThrowsBeforeAllocating)
+{
+    // A section header declaring 2^40 payload bytes in a stream of a
+    // few dozen must be refused as corruption, not trusted with an
+    // allocation (which would die with bad_alloc, or succeed and
+    // commit the memory as the read fills it).
+    std::string bytes = validSnapshot();
+    // Header is magic(4) + version(4) + fp len(4) + "fp"(2); the
+    // section's size field follows tag len(4) + "sec"(3).
+    const std::size_t size_at = 14 + 4 + 3;
+    const std::uint64_t forged = std::uint64_t{1} << 40;
+    ASSERT_LT(size_at + sizeof(forged), bytes.size());
+    std::memcpy(bytes.data() + size_at, &forged, sizeof(forged));
+    std::istringstream is(bytes);
+    SnapshotReader reader(is);
+    try {
+        reader.begin("sec");
+        FAIL() << "forged section size accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("more than remain"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

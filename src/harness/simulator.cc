@@ -277,22 +277,34 @@ Simulator::functionalWarmup()
         }
         // Advance one tick per instruction so the Time-Keeping decay
         // logic sees time pass at roughly the measured-phase rate.
-        for (std::uint64_t i = 0; i < options.warmupInstructions; ++i) {
-            poller.poll("warmup");
-            const MicroOp op = cs.source->next();
-            const Tick now = warmupTicks++;
+        auto stream = [&](auto &source) {
+            for (std::uint64_t i = 0; i < options.warmupInstructions;
+                 ++i) {
+                poller.poll("warmup");
+                const MicroOp op = source.next();
+                const Tick now = warmupTicks++;
 
-            hierarchy->warmupInstAccess(op.pc, now, c);
-            if (isMemOp(op.cls)) {
-                hierarchy->warmupDataAccess(
-                    op.addr, op.cls == OpClass::Store, now, c);
-            } else if (op.cls == OpClass::Branch) {
-                const BranchPrediction pred = cs.predictor->predict(op);
-                cs.predictor->resolve(op, pred);
+                hierarchy->warmupInstAccess(op.pc, now, c);
+                if (isMemOp(op.cls)) {
+                    hierarchy->warmupDataAccess(
+                        op.addr, op.cls == OpClass::Store, now, c);
+                } else if (op.cls == OpClass::Branch) {
+                    const BranchPrediction pred =
+                        cs.predictor->predict(op);
+                    cs.predictor->resolve(op, pred);
+                }
+                if (tk && c == 0)
+                    tk->tick(now);
             }
-            if (tk && c == 0)
-                tk->tick(now);
-        }
+        };
+        // Warmup reads no dependence distance, so the generator can
+        // skip computing them; trace files carry theirs anyway.
+        if (cs.workload)
+            cs.workload->setWarmupHorizon(options.warmupInstructions);
+        if (cs.source == cs.workload.get())
+            stream(*cs.workload);  // direct calls the compiler inlines
+        else
+            stream(*cs.source);
     }
     hierarchy->setWarmupMode(false);
 }

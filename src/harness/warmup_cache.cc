@@ -7,59 +7,16 @@
 #include <istream>
 #include <iterator>
 #include <sstream>
-#include <streambuf>
 #include <utility>
 
 #include <unistd.h>
 
 #include "common/logging.hh"
 #include "harness/sweep.hh"
+#include "snapshot/snapshot.hh"
 
 namespace vsv
 {
-
-namespace
-{
-
-/**
- * A read-only, seekable stream source over bytes owned elsewhere, so a
- * restore reads the shared snapshot in place instead of copying it.
- */
-class ByteView : public std::streambuf
-{
-  public:
-    explicit ByteView(std::string_view bytes)
-    {
-        // The get area is non-const by signature only; nothing writes
-        // through it.
-        char *begin = const_cast<char *>(bytes.data());
-        setg(begin, begin, begin + bytes.size());
-    }
-
-  protected:
-    pos_type
-    seekoff(off_type off, std::ios_base::seekdir dir,
-            std::ios_base::openmode which) override
-    {
-        const off_type size = egptr() - eback();
-        const off_type base = dir == std::ios_base::beg   ? 0
-                              : dir == std::ios_base::cur ? gptr() - eback()
-                                                          : size;
-        const off_type target = base + off;
-        if (!(which & std::ios_base::in) || target < 0 || target > size)
-            return pos_type(off_type(-1));
-        setg(eback(), eback() + target, egptr());
-        return pos_type(target);
-    }
-
-    pos_type
-    seekpos(pos_type pos, std::ios_base::openmode which) override
-    {
-        return seekoff(off_type(pos), std::ios_base::beg, which);
-    }
-};
-
-} // namespace
 
 WarmupSnapshotCache::WarmupSnapshotCache(std::string disk_dir)
     : diskDir_(std::move(disk_dir))
@@ -90,7 +47,7 @@ WarmupSnapshotCache::tryRestore(Simulator &sim, std::string_view bytes,
         // sweep worker's own) so a bad snapshot degrades to a fresh
         // warmup instead of failing the run.
         ScopedThrowingFatal guard;
-        ByteView view(bytes);
+        SnapshotView view(bytes);
         std::istream is(&view);
         sim.restoreFrom(is, fingerprint);
         return true;

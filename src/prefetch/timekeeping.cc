@@ -1,6 +1,7 @@
 #include "timekeeping.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -33,6 +34,12 @@ TimekeepingPrefetcher::TimekeepingPrefetcher(const TimekeepingConfig &config,
     assoc = l1d_config.assoc;
     frames.resize(static_cast<std::size_t>(numSets) * assoc);
     deadAt.assign(frames.size(), maxTick);
+    setsPerSlice = std::max<std::uint32_t>(1, numSets / config.sweepSlices);
+    // A divisor of the power-of-two set count, so a power of two too.
+    const std::uint32_t group_sets = std::gcd(setsPerSlice, numSets);
+    groupShift = floorLog2(group_sets);
+    groupsPerSlice = setsPerSlice / group_sets;
+    groupDeadAt.assign(numSets / group_sets, maxTick);
     predictor.resize(config.predictorEntries);
 }
 
@@ -79,6 +86,10 @@ TimekeepingPrefetcher::refreshDeadline(std::size_t index)
         return;
     }
     deadAt[index] = frame.lastAccess + static_cast<Tick>(product);
+    // Every caller has just placed, found or checked this block in its
+    // own set, so the address names the frame's group.
+    Tick &group = groupDeadAt[setOf(frame.blockAddr) >> groupShift];
+    group = std::min(group, deadAt[index]);
 }
 
 TimekeepingPrefetcher::Frame *
@@ -219,58 +230,74 @@ void
 TimekeepingPrefetcher::sweepSlice(Tick now)
 {
     nextSweepTick = now + config.decayResolution;
-    const std::uint32_t sets_per_slice =
-        std::max<std::uint32_t>(1, numSets / config.sweepSlices);
-
     power.recordAccess(PowerStructure::TkTables);
-    // Frames are stored set-major, so the slice's sets in order are
-    // one run of frames that wraps at most once.
-    std::size_t index = static_cast<std::size_t>(sweepCursor % numSets) *
-                        assoc;
-    for (std::size_t n = static_cast<std::size_t>(sets_per_slice) * assoc;
-         n > 0; --n, ++index) {
-        if (index == frames.size())
-            index = 0;
-        // Not due yet: the predicate below cannot hold (this also
-        // skips invalid and already-handled frames).
-        if (deadAt[index] > now)
-            continue;
-        Frame &frame = frames[index];
 
-        const Tick live = std::max<Tick>(
-            frame.lastAccess - frame.fillTime, config.minLiveTime);
-        const Tick idle = now - frame.lastAccess;
-        if (static_cast<double>(idle) <=
-            config.deadMultiplier * static_cast<double>(live)) {
+    // The slice's sets in order are a run of whole groups that wraps
+    // at most once; frames are stored set-major, so each group is one
+    // run of frames.
+    const std::size_t group_frames =
+        (static_cast<std::size_t>(1) << groupShift) * assoc;
+    std::size_t group = sweepCursor >> groupShift;
+    for (std::uint32_t n = groupsPerSlice; n > 0; --n, ++group) {
+        if (group == groupDeadAt.size())
+            group = 0;
+        // No frame of the group is due, so its scan would do nothing.
+        if (groupDeadAt[group] > now)
             continue;
+        // Rebuilt exactly; a refresh during the scan lowers it too.
+        groupDeadAt[group] = maxTick;
+        Tick bound = maxTick;
+        const std::size_t first = group * group_frames;
+        for (std::size_t index = first; index < first + group_frames;
+             ++index) {
+            sweepFrame(index, now);
+            bound = std::min(bound, deadAt[index]);
         }
-
-        // The block is predicted dead: prefetch its historical
-        // successor if the predictor holds a confident delta.
-        frame.deadHandled = true;
-        deadAt[index] = maxTick;
-        ++deadPredictions;
-        const PredictorEntry &entry = predictor[signature(
-            frame.blockAddr)];
-        if (entry.confidence < config.confidenceThreshold) {
-            ++predictorMisses;
-            continue;
-        }
-        const Addr set_stride =
-            static_cast<Addr>(numSets) * l1dConfig.blockBytes;
-        const std::int64_t target =
-            static_cast<std::int64_t>(frame.blockAddr) +
-            static_cast<std::int64_t>(entry.deltaTags) *
-                static_cast<std::int64_t>(set_stride);
-        if (target < 0)
-            continue;
-        const Addr next_block = static_cast<Addr>(target);
-        if (issuer && !bufferSet.count(next_block)) {
-            issuer->issueHardwarePrefetch(next_block, now);
-            ++issued;
-        }
+        groupDeadAt[group] = std::min(groupDeadAt[group], bound);
     }
-    sweepCursor = (sweepCursor + sets_per_slice) % numSets;
+    sweepCursor = (sweepCursor + setsPerSlice) % numSets;
+}
+
+void
+TimekeepingPrefetcher::sweepFrame(std::size_t index, Tick now)
+{
+    // Not due yet: the predicate below cannot hold (this also skips
+    // invalid and already-handled frames).
+    if (deadAt[index] > now)
+        return;
+    Frame &frame = frames[index];
+
+    const Tick live = std::max<Tick>(frame.lastAccess - frame.fillTime,
+                                     config.minLiveTime);
+    const Tick idle = now - frame.lastAccess;
+    if (static_cast<double>(idle) <=
+        config.deadMultiplier * static_cast<double>(live)) {
+        return;
+    }
+
+    // The block is predicted dead: prefetch its historical successor
+    // if the predictor holds a confident delta.
+    frame.deadHandled = true;
+    deadAt[index] = maxTick;
+    ++deadPredictions;
+    const PredictorEntry &entry = predictor[signature(frame.blockAddr)];
+    if (entry.confidence < config.confidenceThreshold) {
+        ++predictorMisses;
+        return;
+    }
+    const Addr set_stride =
+        static_cast<Addr>(numSets) * l1dConfig.blockBytes;
+    const std::int64_t target =
+        static_cast<std::int64_t>(frame.blockAddr) +
+        static_cast<std::int64_t>(entry.deltaTags) *
+            static_cast<std::int64_t>(set_stride);
+    if (target < 0)
+        return;
+    const Addr next_block = static_cast<Addr>(target);
+    if (issuer && !bufferSet.count(next_block)) {
+        issuer->issueHardwarePrefetch(next_block, now);
+        ++issued;
+    }
 }
 
 std::vector<std::pair<std::int32_t, std::uint8_t>>
@@ -330,12 +357,20 @@ TimekeepingPrefetcher::restore(SnapshotReader &reader)
                      "frame count");
     reader.expectU32(static_cast<std::uint32_t>(predictor.size()),
                      "predictor size");
+    // The group bounds are rebuilt from the restored frames.
+    groupDeadAt.assign(groupDeadAt.size(), maxTick);
     for (std::size_t i = 0; i < frames.size(); ++i) {
         Frame &frame = frames[i];
         frame.blockAddr = reader.u64();
         frame.fillTime = reader.u64();
         frame.lastAccess = reader.u64();
         frame.deadHandled = reader.b();
+        if (frame.blockAddr != invalidAddr &&
+            setOf(frame.blockAddr) != i / assoc) {
+            throw SnapshotError("snapshot: Time-Keeping frame " +
+                                std::to_string(i) +
+                                " holds a block of another set");
+        }
         refreshDeadline(i);
     }
     for (PredictorEntry &entry : predictor) {
@@ -352,6 +387,14 @@ TimekeepingPrefetcher::restore(SnapshotReader &reader)
         bufferSet.insert(reader.u64());
     nextSweepTick = reader.u64();
     sweepCursor = reader.u32();
+    // Every cursor a sweep leaves is a multiple of setsPerSlice modulo
+    // numSets, so it starts a group.
+    if (sweepCursor >= numSets ||
+        (sweepCursor & ((1u << groupShift) - 1)) != 0) {
+        throw SnapshotError("snapshot: Time-Keeping sweep cursor " +
+                            std::to_string(sweepCursor) +
+                            " is not a slice start");
+    }
     reader.scalar(issued);
     reader.scalar(deadPredictions);
     reader.scalar(trainedPairs);

@@ -31,8 +31,9 @@
  * and the slice rotation only quantizes death detection, which is
  * orders of magnitude finer than typical L1 dead times. Each frame
  * also carries a lower bound on the tick its death predicate first
- * holds, so the scan skips frames that cannot have died yet without
- * evaluating the predicate.
+ * holds, and each group of sets the minimum of its frames' bounds, so
+ * the scan skips frames, and whole groups, that cannot have died yet
+ * without evaluating the predicate.
  */
 
 #ifndef VSV_PREFETCH_TIMEKEEPING_HH
@@ -152,6 +153,8 @@ class TimekeepingPrefetcher : public Prefetcher
     Frame *findFrame(Addr block_addr);
     /** One decay-sweep slice; schedules the next one. */
     void sweepSlice(Tick now);
+    /** Evaluate one frame's death predicate; prefetch if it died. */
+    void sweepFrame(std::size_t index, Tick now);
 
     /**
      * Recompute deadAt for one frame. For a live, unhandled frame it
@@ -160,7 +163,8 @@ class TimekeepingPrefetcher : public Prefetcher
      * (ticks handed to the engine never decrease, so a sweep never
      * sees lastAccess > now). Invalid and already-handled frames get
      * maxTick (never due). Called wherever a frame's lastAccess,
-     * fillTime, validity or deadHandled changes.
+     * fillTime, validity or deadHandled changes. Lowers the bound of
+     * the frame's set group to match.
      */
     void refreshDeadline(std::size_t index);
 
@@ -177,6 +181,17 @@ class TimekeepingPrefetcher : public Prefetcher
     /** Per-frame deadline bound (see refreshDeadline); derived from
      *  frames, so never serialized. */
     std::vector<Tick> deadAt;
+    /**
+     * Sets are cut into groups of gcd(setsPerSlice, numSets) sets, so
+     * every slice the sweep scans is a run of whole groups. Per group,
+     * a lower bound on its frames' deadAt: refreshDeadline() lowers
+     * it, a scan of the group recomputes it exactly, and a restore
+     * rebuilds it. Derived, so never serialized.
+     */
+    std::vector<Tick> groupDeadAt;
+    std::uint32_t setsPerSlice;
+    std::uint32_t groupShift;           ///< log2(sets per group)
+    std::uint32_t groupsPerSlice;
     std::vector<PredictorEntry> predictor;
 
     std::deque<Addr> bufferFifo;

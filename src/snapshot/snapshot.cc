@@ -159,8 +159,37 @@ SnapshotWriter::scalar(const Scalar &s)
     f64(s.value());
 }
 
+SnapshotView::SnapshotView(std::string_view bytes)
+{
+    // The get area is non-const by signature only; nothing writes
+    // through it.
+    char *begin = const_cast<char *>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+}
+
+SnapshotView::pos_type
+SnapshotView::seekoff(off_type off, std::ios_base::seekdir dir,
+                      std::ios_base::openmode which)
+{
+    const off_type size = egptr() - eback();
+    const off_type base = dir == std::ios_base::beg   ? 0
+                          : dir == std::ios_base::cur ? gptr() - eback()
+                                                      : size;
+    const off_type target = base + off;
+    if (!(which & std::ios_base::in) || target < 0 || target > size)
+        return pos_type(off_type(-1));
+    setg(eback(), eback() + target, egptr());
+    return pos_type(target);
+}
+
+SnapshotView::pos_type
+SnapshotView::seekpos(pos_type pos, std::ios_base::openmode which)
+{
+    return seekoff(off_type(pos), std::ios_base::beg, which);
+}
+
 SnapshotReader::SnapshotReader(std::istream &is_)
-    : is(is_)
+    : is(is_), view(dynamic_cast<SnapshotView *>(is_.rdbuf()))
 {
     char magic[4] = {};
     is.read(magic, sizeof(magic));
@@ -211,8 +240,14 @@ SnapshotReader::begin(std::string_view expected_tag)
         corrupt("section '" + tag + "' declares " +
                 std::to_string(size) + " bytes, more than remain");
     }
-    payload.resize(size);
-    is.read(payload.data(), static_cast<std::streamsize>(size));
+    if (view) {
+        payload = view->unread().substr(0, size);
+        view->skip(size);
+    } else {
+        copy.resize(size);
+        is.read(copy.data(), static_cast<std::streamsize>(size));
+        payload = copy;
+    }
     std::uint64_t checksum = 0;
     is.read(reinterpret_cast<char *>(&checksum), sizeof(checksum));
     if (!is)

@@ -21,7 +21,9 @@
  * checksum framing means any corruption, truncation or version skew
  * surfaces as a SnapshotError with a message naming the failure, never
  * as silently wrong state. Writers buffer each section in memory so
- * the target stream needs no seeking.
+ * the target stream needs no seeking. Readers copy each section out of
+ * an ordinary stream, but checksum and decode it in place when the
+ * stream reads a SnapshotView.
  */
 
 #ifndef VSV_SNAPSHOT_SNAPSHOT_HH
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
 
@@ -56,6 +59,32 @@ class SnapshotError : public std::runtime_error
 {
   public:
     using std::runtime_error::runtime_error;
+};
+
+/**
+ * A read-only, seekable stream buffer over snapshot bytes owned
+ * elsewhere. A SnapshotReader on a stream that reads one takes each
+ * section's payload straight from these bytes instead of copying it.
+ */
+class SnapshotView : public std::streambuf
+{
+  public:
+    explicit SnapshotView(std::string_view bytes);
+
+    /** The bytes not yet read. */
+    std::string_view
+    unread() const
+    {
+        return {gptr(), static_cast<std::size_t>(egptr() - gptr())};
+    }
+
+    /** Consume the next n unread bytes; n <= unread().size(). */
+    void skip(std::size_t n) { setg(eback(), gptr() + n, egptr()); }
+
+  protected:
+    pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                     std::ios_base::openmode which) override;
+    pos_type seekpos(pos_type pos, std::ios_base::openmode which) override;
 };
 
 /** Serializes sections into an output stream. */
@@ -100,7 +129,9 @@ class SnapshotReader
     /** Parses and validates the header; throws SnapshotError on bad
      *  magic, unsupported version, or a truncated stream. The stream
      *  must be seekable, so that a section's declared size can be
-     *  checked against the bytes that remain before it is read. */
+     *  checked against the bytes that remain before it is read. When
+     *  it reads a SnapshotView, sections are decoded in place, so the
+     *  viewed bytes must outlive the reader. */
     explicit SnapshotReader(std::istream &is);
 
     /** The warmup fingerprint recorded at write time. */
@@ -140,8 +171,10 @@ class SnapshotReader
     std::uint64_t bytesLeft();
 
     std::istream &is;
+    SnapshotView *view;      ///< is's buffer, when it is a view
     std::string fingerprint_;
-    std::string payload;     ///< current section's bytes
+    std::string copy;        ///< section bytes copied from a plain stream
+    std::string_view payload;  ///< current section's bytes
     std::size_t cursor = 0;
     std::string tag;         ///< current section's tag
     bool inSection = false;

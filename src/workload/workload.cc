@@ -47,7 +47,8 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile &profile,
                                               "one instruction");
 
     const double dep_p = 1.0 / std::max(1.0, profile.meanDepDist);
-    depDraws = dep_p < 1.0;
+    depDraw = dep_p < 1.0 ? DepDraw::Full : DepDraw::None;
+    depMode = depDraw;
     depLogQ = std::log1p(-dep_p);
 
     const double rescale = 1.0 / (1.0 - profile.branchFrac);
@@ -109,8 +110,10 @@ WorkloadGenerator::producerDistance()
 {
     // A mean of at most 1 is a success probability of 1: no draw.
     std::uint64_t draw = 1;
-    if (depDraws)
+    if (depMode == DepDraw::Full)
         draw += rng.nextGeometricLog(depLogQ);
+    else if (depMode == DepDraw::WordOnly)
+        rng.next();  // the word nextGeometricLog would have drawn
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(draw, 256));
 }
 
@@ -369,19 +372,26 @@ WorkloadGenerator::makeCompute(MicroOp &op)
     assignComputeDeps(op);
 }
 
-MicroOp
-WorkloadGenerator::next()
+void
+WorkloadGenerator::refill()
 {
-    if (opBufferPos == opBuffer.size()) {
-        // Ops are built in place: assembling one on the stack and
-        // copying it in stalls on store forwarding.
-        opBufferPos = 0;
-        opBuffer.assign(batch_, MicroOp{});
-        for (MicroOp &op : opBuffer)
-            generate(op);
+    // Ops are built in place: assembling one on the stack and copying
+    // it in stalls on store forwarding.
+    opBufferPos = 0;
+    opBuffer.assign(batch_, MicroOp{});
+    std::size_t i = 0;
+    if (position < warmupHorizon) {
+        // The switch is per batch, so ops past the horizon pay nothing.
+        const std::size_t warm = static_cast<std::size_t>(
+            std::min<std::uint64_t>(batch_, warmupHorizon - position));
+        if (depDraw == DepDraw::Full)
+            depMode = DepDraw::WordOnly;
+        for (; i < warm; ++i)
+            generate(opBuffer[i]);
+        depMode = depDraw;
     }
-    ++delivered;
-    return opBuffer[opBufferPos++];
+    for (; i < opBuffer.size(); ++i)
+        generate(opBuffer[i]);
 }
 
 void
@@ -536,6 +546,7 @@ WorkloadGenerator::restore(SnapshotReader &reader)
                             name + "' vs '" + profile_.name + "')");
     }
     reader.expectU64(profile_.seed, "workload seed");
+    warmupHorizon = 0;
     readRng(reader, rng);
     readRng(reader, addrRng);
     position = reader.u64();

@@ -202,12 +202,34 @@ class WorkloadGenerator : public TraceSource
                                std::uint32_t batch = defaultBatchOps);
 
     /** Deliver the next dynamic micro-op (from the batch buffer). */
-    MicroOp next() override;
+    MicroOp
+    next() final
+    {
+        if (opBufferPos == opBuffer.size())
+            refill();
+        ++delivered;
+        return opBuffer[opBufferPos++];
+    }
 
     const WorkloadProfile &profile() const { return profile_; }
 
     /** Dynamic instructions delivered so far. */
     std::uint64_t generated() const { return delivered; }
+
+    /**
+     * Declare that the next `ops` ops delivered feed functional
+     * warmup, which reads no dependence distance. Those not yet
+     * generated still draw every RNG word but skip the geometric
+     * transform, so their depDist fields are meaningless. Every later
+     * op, the RNG streams, the cursors and the snapshot bytes are
+     * exactly as without the call; ops already in the batch buffer
+     * keep their full dependences.
+     */
+    void
+    setWarmupHorizon(std::uint64_t ops)
+    {
+        warmupHorizon = delivered + ops;
+    }
 
     /** Serialize RNG streams, cursors, chains and buffered ops. */
     void snapshot(SnapshotWriter &writer) const;
@@ -223,6 +245,8 @@ class WorkloadGenerator : public TraceSource
         std::int32_t chainId;  ///< -1 for non-chain patterns
     };
 
+    /** Regenerate the batch buffer from the current position. */
+    void refill();
     /** Generate one op into `op`, which holds a default MicroOp. */
     void generate(MicroOp &op);
 
@@ -259,7 +283,15 @@ class WorkloadGenerator : public TraceSource
     BoundedRange hotRange;
     BoundedRange warmRange;
     BoundedRange coldRange;
-    bool depDraws = false;   ///< producer distance draws (mean > 1)
+    /** What producerDistance() does with its geometric draw. */
+    enum class DepDraw : std::uint8_t
+    {
+        None,       ///< mean <= 1: distance 1, no RNG word
+        Full,       ///< draw and transform
+        WordOnly    ///< warmup ops: draw the RNG word, no transform
+    };
+    DepDraw depDraw = DepDraw::None;  ///< the profile's mode (None/Full)
+    DepDraw depMode = DepDraw::None;  ///< the mode of the op in progress
     double depLogQ = 0.0;    ///< log1p(-1/meanDepDist)
     double loadCut = 0.0;    ///< generate(): load below, ...
     double storeCut = 0.0;   ///< ... store below, else compute
@@ -273,6 +305,9 @@ class WorkloadGenerator : public TraceSource
     std::vector<MicroOp> opBuffer;
     std::size_t opBufferPos = 0;
     std::uint64_t delivered = 0;
+    /** Ops at positions up to this one feed functional warmup (see
+     *  setWarmupHorizon); never serialized. */
+    std::uint64_t warmupHorizon = 0;
 
     std::uint64_t position = 0;
     std::uint64_t slot = 0;  ///< position % loopInsts

@@ -241,6 +241,67 @@ TEST(SnapshotFormatTest, ReadingPastSectionEndThrows)
     EXPECT_THROW(reader.u8(), SnapshotError);
 }
 
+/** Expect `read` to throw a SnapshotError whose message has `what`. */
+template <typename Read>
+void
+expectCorrupt(Read read, const std::string &what)
+{
+    try {
+        read();
+        ADD_FAILURE() << "accepted; expected an error naming " << what;
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SnapshotFormatTest, InPlaceDecodingKeepsEveryCheck)
+{
+    const std::string good = validSnapshot();
+    // Header is magic(4) + version(4) + fp len(4) + "fp"(2); the
+    // section is tag len(4) + "sec"(3), then its size and payload.
+    const std::size_t size_at = 14 + 4 + 3;
+    const std::size_t payload_at = size_at + 8;
+    const auto read = [](const std::string &bytes, bool whole_u64) {
+        SnapshotView view(bytes);
+        std::istream is(&view);
+        SnapshotReader reader(is);
+        reader.begin("sec");
+        if (whole_u64) {
+            EXPECT_EQ(reader.u64(), 0x1122334455667788ULL);
+        } else {
+            reader.u32();
+        }
+        reader.end();
+        reader.expectEnd();
+        EXPECT_TRUE(view.unread().empty());
+    };
+
+    read(good, true);
+    for (std::size_t keep = 0; keep < good.size(); ++keep) {
+        EXPECT_THROW(read(good.substr(0, keep), true), SnapshotError)
+            << "prefix of " << keep << " bytes accepted";
+    }
+
+    std::string forged = good;
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(forged.data() + size_at, &huge, sizeof(huge));
+    expectCorrupt([&] { read(forged, true); }, "more than remain");
+
+    std::string flipped = good;
+    flipped[payload_at] = static_cast<char>(flipped[payload_at] ^ 0x01);
+    expectCorrupt([&] { read(flipped, true); }, "checksum");
+
+    expectCorrupt([&] { read(good, false); }, "unread bytes");
+
+    SnapshotView view(good);
+    std::istream is(&view);
+    SnapshotReader reader(is);
+    reader.begin("sec");
+    reader.u64();
+    expectCorrupt([&] { reader.u8(); }, "exhausted");
+}
+
 TEST(SnapshotFormatTest, ExpectU32NamesTheQuantity)
 {
     std::ostringstream os;

@@ -10,6 +10,8 @@
  * (per-op pc division, per-op branch-slot hash, out-of-line RNG
  * draws). Any faster generator must deliver the same stream bit for
  * bit, including across a snapshot/restore in the middle of a batch.
+ * A warmup horizon (WorkloadGenerator::setWarmupHorizon) may change
+ * the dependence distances of the ops it covers and nothing else.
  */
 
 #include <gtest/gtest.h>
@@ -302,6 +304,73 @@ TEST(StreamPin, RestoreMidBatchContinuesTheDigest)
 
         EXPECT_EQ(second.generated(), pinOps) << p.name;
         EXPECT_EQ(hex(d.value()), hex(streamDigest(p))) << p.name;
+    }
+}
+
+std::string
+snapshotOf(const WorkloadGenerator &gen)
+{
+    std::ostringstream bytes;
+    SnapshotWriter writer(bytes, "pin");
+    gen.snapshot(writer);
+    writer.finish();
+    return bytes.str();
+}
+
+/** Every field except the dependence distances. */
+bool
+sameButDeps(const MicroOp &a, const MicroOp &b)
+{
+    return a.cls == b.cls && a.brKind == b.brKind && a.taken == b.taken &&
+           a.pc == b.pc && a.addr == b.addr && a.target == b.target;
+}
+
+bool
+same(const MicroOp &a, const MicroOp &b)
+{
+    return sameButDeps(a, b) && a.depDist1 == b.depDist1 &&
+           a.depDist2 == b.depDist2;
+}
+
+/**
+ * A warmup horizon of N may change only the dependence distances of
+ * the first N ops. Checked against the uninterrupted stream, whose
+ * digests the tests above pin: the first N ops in every other field,
+ * the snapshot at N byte for byte (it holds the RNG streams, the
+ * cursors and the ops buffered past N), and every op after N in full.
+ */
+TEST(StreamPin, WarmupHorizonOnlySkipsTheDependencesItCovers)
+{
+    std::vector<WorkloadProfile> profiles;
+    for (const std::string &name : spec2kBenchmarks())
+        profiles.push_back(spec2kProfile(name));
+    for (const WorkloadProfile &p : edgeProfiles())
+        profiles.push_back(p);
+
+    constexpr std::uint64_t batch = WorkloadGenerator::defaultBatchOps;
+    constexpr std::uint64_t horizons[] = {
+        0,
+        100'037,              // mid-batch
+        1'563 * batch,        // on a batch boundary
+        pinOps + 4'099,       // beyond the pinned window
+    };
+    static_assert(horizons[1] % batch != 0);
+    constexpr std::uint64_t tail = 3 * batch + 1'000;
+
+    for (const WorkloadProfile &p : profiles) {
+        for (const std::uint64_t n : horizons) {
+            SCOPED_TRACE(p.name + ", horizon " + std::to_string(n));
+            WorkloadGenerator ref(p);
+            WorkloadGenerator gen(p);
+            gen.setWarmupHorizon(n);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                ASSERT_TRUE(sameButDeps(gen.next(), ref.next()))
+                    << "op " << i;
+            }
+            ASSERT_TRUE(snapshotOf(gen) == snapshotOf(ref));
+            for (std::uint64_t i = n; i < n + tail; ++i)
+                ASSERT_TRUE(same(gen.next(), ref.next())) << "op " << i;
+        }
     }
 }
 

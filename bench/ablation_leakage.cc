@@ -15,7 +15,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -50,7 +49,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "ablation_leakage", jobs);
+        runSweep(args, "ablation_leakage", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -55,7 +54,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "fig4_fsm_effect", jobs);
+        runSweep(args, "fig4_fsm_effect", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

@@ -10,7 +10,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -39,7 +38,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "fig5_down_thresholds", jobs);
+        runSweep(args, "fig5_down_thresholds", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

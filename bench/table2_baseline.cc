@@ -13,7 +13,6 @@
 #include <cmath>
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -41,7 +40,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "table2_baseline", jobs);
+        runSweep(args, "table2_baseline", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

@@ -12,7 +12,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -46,7 +45,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "threshold_explorer", jobs);
+        runSweep(args, "threshold_explorer", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

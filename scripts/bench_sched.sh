@@ -1,8 +1,7 @@
 #!/bin/sh
 # Regenerate BENCH_sched.json, the checked-in record of sweep-planned
-# warmup sharing: Figure 7 and Table 2 at --jobs=4, and Figure 7
-# through four forked campaign workers, each timed cold at a base
-# revision and at this tree.
+# warmup sharing: Figure 7 and Table 2 at --jobs=4, each timed cold at
+# a base revision and at this tree.
 #
 #   scripts/bench_sched.sh REV [REPEATS]
 #
@@ -12,8 +11,7 @@
 # base and head interleaved, each side going first in every other
 # repeat, so that host drift and run order hit both alike.
 # Recorded per bench and side: each wall-clock time and its median,
-# and the peak RSS of the bench's largest process (the coordinator or
-# one campaign worker) and its median. `identical` is true when every
+# and the bench's peak RSS and its median. `identical` is true when every
 # run's result without its host-dependent throughput block, its stats
 # and the manifest's snapshotCache counters match across all runs of
 # both sides.
@@ -58,8 +56,6 @@ repeats = int(repeats)
 benches = [
     ("fig7_timekeeping --jobs=4", "fig7_timekeeping", ["--jobs=4"]),
     ("table2_baseline --jobs=4", "table2_baseline", ["--jobs=4"]),
-    ("fig7_timekeeping --campaign-workers=4", "fig7_timekeeping",
-     ["--campaign-workers=4"]),
 ]
 
 

@@ -43,7 +43,7 @@ class FatalError : public std::runtime_error
  * FatalError instead of calling std::exit(1). The sweep runner's
  * worker threads use this so a bad configuration inside one run
  * becomes a structured per-run error record instead of tearing down
- * the whole campaign. Nests; panic() still aborts (an invariant
+ * the whole sweep. Nests; panic() still aborts (an invariant
  * violation is a bug, not a recoverable run failure).
  */
 class ScopedThrowingFatal

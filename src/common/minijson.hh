@@ -1,8 +1,8 @@
 /**
  * @file
  * Strict recursive-descent JSON parser for the documents this repo
- * produces itself: sweep manifests, store payloads, campaign frames,
- * golden-stats files, and trace exports under test. Small
+ * produces itself: sweep manifests, store payloads, golden-stats
+ * files, and trace exports under test. Small
  * on purpose: it accepts exactly RFC 8259 JSON and throws
  * std::runtime_error (with a byte offset) on the first deviation, so
  * a malformed document fails loudly instead of being half-accepted
@@ -96,7 +96,7 @@ class Parser
     /**
      * Nesting limit. The documents this repo writes nest under ten
      * levels; the cap keeps the recursion (and the recursive Value
-     * destructor) bounded on hostile input such as a campaign frame
+         * destructor) bounded on hostile input such as a store payload
      * of 100 000 '['.
      */
     static constexpr std::size_t maxDepth = 256;

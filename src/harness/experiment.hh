@@ -67,7 +67,7 @@ struct ExperimentArgs
      *  (results are bit-identical either way). */
     bool snapshotCache = true;
     /** --snapshot-dir=DIR: persist warmup snapshots on disk so later
-     *  campaigns skip warmup too. */
+     *  sweeps skip warmup too. */
     std::string snapshotDir;
     /** --store-dir=DIR: content-addressed result store (STORE.md). A
      *  run whose configuration fingerprint is already stored replays
@@ -81,37 +81,6 @@ struct ExperimentArgs
     /** --core-benchmarks=a,b,...: per-core multiprogrammed mix; must
      *  name exactly --cores benchmarks (empty = homogeneous). */
     std::vector<std::string> coreBenchmarks;
-    /** --campaign-listen=[HOST:]PORT: run as a distributed-campaign
-     *  coordinator accepting TCP workers (CAMPAIGNS.md); port 0 binds
-     *  an ephemeral port and logs it. Empty = no listener. */
-    std::string campaignListen;
-    /** --campaign-connect=HOST:PORT: run as a campaign worker serving
-     *  the coordinator at that address, then exit (no local tables or
-     *  --json output). Mutually exclusive with the other two
-     *  campaign flags. */
-    std::string campaignConnect;
-    /** --campaign-workers=N: fork N local worker processes and
-     *  coordinate them over socketpairs. Composes with
-     *  --campaign-listen (TCP workers may join the same campaign). */
-    unsigned campaignWorkers = 0;
-    /** --campaign-chunk=N: runs leased to a worker per ASSIGN
-     *  (contiguous grid indices, so per-worker lockstep batches still
-     *  form; default 16 = the --lockstep default). */
-    unsigned campaignChunk = 16;
-    /** --campaign-heartbeat=SECONDS: worker heartbeat period; a
-     *  worker silent for 3 periods is declared dead and its in-flight
-     *  runs re-queue. 0 disables liveness timeouts (death is then
-     *  detected only by a closed connection). */
-    double campaignHeartbeat = 2.0;
-
-    /** Any campaign role requested on the command line? */
-    bool
-    campaignRequested() const
-    {
-        return !campaignListen.empty() || !campaignConnect.empty() ||
-               campaignWorkers > 0;
-    }
-
     /** Should this invocation read/write the result store? */
     bool
     storeEnabled() const
@@ -166,39 +135,6 @@ RepeatTiming summarizeRepeats(std::vector<double> seconds);
 std::vector<SweepOutcome> runSweep(const ExperimentArgs &args,
                                    const std::string &tool,
                                    const std::vector<SweepJob> &jobs);
-
-/**
- * The per-job preparation runSweep applies before executing anything:
- * per-run trace paths derived from a shared --trace-out base, and the
- * --timeout soft deadline copied onto every job. Exposed so a
- * campaign worker process (src/campaign) prepares its copy of the
- * grid exactly the way the coordinator prepares its own.
- */
-std::vector<SweepJob> prepareSweepJobs(const ExperimentArgs &args,
-                                       const std::vector<SweepJob> &jobs);
-
-/**
- * Executes a sweep: receives the fully prepared grid and returns one
- * outcome per job, in submission order. runSweep supplies a
- * SweepRunner-backed executor; the campaign coordinator supplies one
- * that shards the runs across worker processes.
- */
-using SweepExecutor = std::function<std::vector<SweepOutcome>(
-    const std::vector<SweepJob> &prepared)>;
-
-/**
- * The full runSweep pipeline - unknown-flag rejection, an up-front
- * check that the --json destination can be written, job preparation,
- * wall-clock accounting and --json export - around a caller-supplied
- * executor. `amendManifest` (may be null) runs just before the
- * manifest is written, letting the executor publish its effectiveness
- * counters (thread count, cache hits, campaign stats) into the
- * document.
- */
-std::vector<SweepOutcome> runSweepWith(
-    const ExperimentArgs &args, const std::string &tool,
-    const std::vector<SweepJob> &jobs, const SweepExecutor &execute,
-    const std::function<void(SweepManifest &)> &amendManifest = {});
 
 /**
  * warn() once per failed (non-ok) outcome and return how many there

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -72,22 +73,6 @@ outcomeFromStoreEntry(const std::string &id,
     return outcome;
 }
 
-std::optional<SweepOutcome>
-tryServeFromStore(store::ResultStore &resultStore, const SweepJob &job)
-{
-    const std::string fp = configFingerprint(job.options);
-    std::optional<store::StoreEntry> entry = resultStore.lookup(fp);
-    if (!entry)
-        return std::nullopt;
-    try {
-        return outcomeFromStoreEntry(job.id, *entry);
-    } catch (const std::exception &e) {
-        warn("result store entry for " + job.id + " (" + fp +
-             ") did not replay: " + e.what() + "; re-simulating");
-        return std::nullopt;
-    }
-}
-
 std::string_view
 sweepStatusName(SweepStatus status)
 {
@@ -97,19 +82,6 @@ sweepStatusName(SweepStatus status)
       case SweepStatus::Timeout: return "timeout";
     }
     return "unknown";
-}
-
-SweepStatus
-sweepStatusFromName(std::string_view name)
-{
-    if (name == "ok")
-        return SweepStatus::Ok;
-    if (name == "error")
-        return SweepStatus::Error;
-    if (name == "timeout")
-        return SweepStatus::Timeout;
-    throw std::runtime_error("unknown sweep status: " +
-                             std::string(name));
 }
 
 std::size_t
@@ -188,7 +160,7 @@ SweepRunner::runOneIsolated(const SweepJob &job,
 
     try {
         // fatal() throws (instead of exiting) for the duration of the
-        // run, so one bad configuration cannot kill the campaign.
+        // run, so one bad configuration cannot kill the sweep.
         ScopedThrowingFatal guard;
         return runOne(timed, cache);
     } catch (const SimulationAborted &e) {
@@ -234,15 +206,35 @@ SweepRunner::runWithRetries(const SweepJob &job) const
     return outcome;
 }
 
-std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<SweepJob> &jobs)
+namespace
 {
-    return run(jobs, OutcomeCallback{});
+
+/**
+ * Replay the stored run for `job`, or nullopt on a miss. An entry
+ * that does not replay (outcomeFromStoreEntry throws) is a store bug,
+ * not a sweep failure: it is warned about and treated as a miss, so
+ * the caller simulates and the fresh run re-inserts.
+ */
+std::optional<SweepOutcome>
+tryServeFromStore(store::ResultStore &resultStore, const SweepJob &job)
+{
+    const std::string fp = configFingerprint(job.options);
+    std::optional<store::StoreEntry> entry = resultStore.lookup(fp);
+    if (!entry)
+        return std::nullopt;
+    try {
+        return outcomeFromStoreEntry(job.id, *entry);
+    } catch (const std::exception &e) {
+        warn("result store entry for " + job.id + " (" + fp +
+             ") did not replay: " + e.what() + "; re-simulating");
+        return std::nullopt;
+    }
 }
 
+} // namespace
+
 std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<SweepJob> &jobs,
-                 const OutcomeCallback &onOutcome)
+SweepRunner::run(const std::vector<SweepJob> &jobs)
 {
     std::vector<SweepOutcome> outcomes(jobs.size());
     lockstepStats_ = LockstepStats{};
@@ -264,8 +256,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                     tryServeFromStore(*resultStore_, jobs[i])) {
                 outcomes[i] = std::move(*hit);
                 served[i] = 1;
-                if (onOutcome)
-                    onOutcome(i, outcomes[i]);
                 continue;
             }
         }
@@ -355,8 +345,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             if (resultStore_ && !served[i] &&
                 outcomes[i].status == SweepStatus::Ok)
                 resultStore_->insert(storeEntryFromOutcome(outcomes[i]));
-            if (onOutcome)
-                onOutcome(i, outcomes[i]);
         };
         for (;;) {
             std::size_t t;
@@ -376,7 +364,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 finished(members[0]);
                 continue;
             }
-            // A batch failure is not a campaign failure: every member
+            // A batch failure is not a sweep failure: every member
             // falls back to the normal isolated serial path, retries
             // and all.
             bool batched = false;
@@ -479,8 +467,11 @@ appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
     const char sep = '|';
     s << tk.bufferEntries << sep << tk.decayResolution << sep
       << tk.deadMultiplier << sep << tk.predictorEntries << sep
-      << stride.streams << sep << stride.degree << sep
-      << stride.maxStrideBytes << sep;
+      << tk.tagSigBits << sep << tk.indexSigBits << sep
+      << tk.sweepSlices << sep << tk.minLiveTime << sep
+      << static_cast<unsigned>(tk.confidenceThreshold) << sep
+      << tk.maxDeltaTags << sep << stride.streams << sep
+      << stride.degree << sep << stride.maxStrideBytes << sep;
 }
 
 /**
@@ -574,7 +565,7 @@ warmupFingerprint(const SimulationOptions &o)
     std::ostringstream s;
     s.precision(17);
     const char sep = '|';
-    s << "warmup-v2" << sep;
+    s << "warmup-v3" << sep;
     appendProfileKnobs(s, o.profile);
     s << o.tracePath << sep << o.traceLoop << sep
       << o.warmupInstructions << sep << o.timekeeping << sep
@@ -594,20 +585,6 @@ warmupFingerprint(const SimulationOptions &o)
     s << o.cores << sep;
     for (const std::string &bench : o.coreBenchmarks)
         s << bench << sep;
-    return fnv1a64Hex(s.str());
-}
-
-std::string
-sweepGridFingerprint(const std::vector<SweepJob> &jobs)
-{
-    // Ids cannot contain '|' by convention ('/' separates the parts),
-    // and each entry is terminated, so differently-split grids cannot
-    // collide. The per-job configFingerprint already pins every
-    // result-determining knob; the id pins the index assignment.
-    std::ostringstream s;
-    s << "grid-v1|" << jobs.size() << '|';
-    for (const SweepJob &job : jobs)
-        s << job.id << '|' << configFingerprint(job.options) << '|';
     return fnv1a64Hex(s.str());
 }
 
@@ -712,21 +689,6 @@ writeSweepJson(std::ostream &os, const SweepManifest &manifest,
            << ",\"inserts\":" << manifest.store.inserts
            << ",\"corrupt\":" << manifest.store.corrupt
            << ",\"writeFailures\":" << manifest.store.writeFailures
-           << '}';
-    }
-    // Campaign counters appear only for distributed runs, so a
-    // single-process manifest stays byte-identical to what earlier
-    // versions wrote (and to what a campaign of the same grid merges,
-    // apart from this block and the host-dependent fields above).
-    if (manifest.campaign.enabled) {
-        os << ",\"campaign\":{"
-           << "\"enabled\":true"
-           << ",\"localWorkers\":" << manifest.campaign.localWorkers
-           << ",\"workersJoined\":" << manifest.campaign.workersJoined
-           << ",\"deaths\":" << manifest.campaign.deaths
-           << ",\"requeuedRuns\":" << manifest.campaign.requeuedRuns
-           << ",\"abandonedRuns\":" << manifest.campaign.abandonedRuns
-           << ",\"protocolErrors\":" << manifest.campaign.protocolErrors
            << '}';
     }
     os << ",\"config\":{";

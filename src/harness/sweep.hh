@@ -14,7 +14,7 @@
  * Fault isolation: each run executes under ScopedThrowingFatal, so an
  * exception or fatal() inside one simulation becomes a structured
  * error record in that run's SweepOutcome instead of taking down the
- * campaign. A per-run soft timeout (SweepJob::softTimeoutSeconds)
+ * sweep. A per-run soft timeout (SweepJob::softTimeoutSeconds)
  * aborts runaway runs via the Simulator's abort hook, and a retry
  * policy (`--retries`) re-runs failed jobs. The exported JSON records
  * per-run status/error/attempts plus a configuration fingerprint; a
@@ -33,10 +33,8 @@
 #ifndef VSV_HARNESS_SWEEP_HH
 #define VSV_HARNESS_SWEEP_HH
 
-#include <functional>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,13 +73,6 @@ enum class SweepStatus
 /** JSON spelling of a status: "ok", "error", "timeout". */
 std::string_view sweepStatusName(SweepStatus status);
 
-/**
- * Inverse of sweepStatusName. Throws std::runtime_error on any other
- * spelling - callers (the campaign wire decoder, manifest readers)
- * must treat an unknown status as a malformed document, not as Ok.
- */
-SweepStatus sweepStatusFromName(std::string_view name);
-
 /** What one finished job leaves behind. */
 struct SweepOutcome
 {
@@ -89,7 +80,7 @@ struct SweepOutcome
     SweepStatus status = SweepStatus::Ok;
     /** What went wrong; empty when status is Ok. */
     std::string error;
-    /** Executions this campaign (includes retries). */
+    /** Executions this sweep (includes retries). */
     unsigned attempts = 0;
     /** configFingerprint() of the options that produced this run. */
     std::string fingerprint;
@@ -123,24 +114,6 @@ struct LockstepStats
     std::map<std::string, std::uint64_t> ineligible;
 };
 
-/**
- * Distributed-campaign effectiveness, reported in the sweep manifest
- * when a grid was sharded across worker processes (CAMPAIGNS.md).
- * enabled=false (the default) omits the block entirely, so
- * single-process manifests stay byte-identical to earlier releases.
- */
-struct CampaignStats
-{
-    bool enabled = false;
-    unsigned localWorkers = 0;  ///< --campaign-workers forked locally
-    std::uint64_t workersJoined = 0; ///< HELLOs accepted (local + TCP)
-    std::uint64_t deaths = 0;        ///< workers lost mid-campaign
-    std::uint64_t requeuedRuns = 0;  ///< in-flight runs re-dispatched
-    /** Runs recorded as Error after exhausting the death budget. */
-    std::uint64_t abandonedRuns = 0;
-    std::uint64_t protocolErrors = 0; ///< rejected HELLOs / bad frames
-};
-
 /** Fixed-size thread pool executing SweepJobs in any order. */
 class SweepRunner
 {
@@ -158,25 +131,6 @@ class SweepRunner
      * @return outcomes in submission order, independent of schedule
      */
     std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs);
-
-    /**
-     * Called with (job index, final outcome) as each job finishes.
-     * Invoked from whichever pool thread completed the job - in
-     * completion order, not submission order - so the callback must
-     * do its own locking. A job that falls back from a failed
-     * lockstep batch is reported once, after its serial re-run.
-     */
-    using OutcomeCallback =
-        std::function<void(std::size_t, const SweepOutcome &)>;
-
-    /**
-     * Same as run(), additionally streaming each outcome through
-     * `onOutcome` the moment it is final. The campaign worker loop
-     * uses this to ship results over the wire while later jobs are
-     * still executing.
-     */
-    std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs,
-                                  const OutcomeCallback &onOutcome);
 
     unsigned threads() const { return threads_; }
     unsigned retries() const { return retries_; }
@@ -300,16 +254,6 @@ SweepOutcome outcomeFromStoreEntry(const std::string &id,
                                    const store::StoreEntry &entry);
 
 /**
- * Replay the stored run for `job`, or nullopt on a miss. An entry
- * that does not replay (outcomeFromStoreEntry throws) is a store bug,
- * not a sweep failure: it is warned about and treated as a miss, so
- * the caller simulates and the fresh run re-inserts. Shared by
- * SweepRunner::run and the campaign coordinator.
- */
-std::optional<SweepOutcome> tryServeFromStore(
-    store::ResultStore &resultStore, const SweepJob &job);
-
-/**
  * Deterministic per-run seed derivation (splitmix64 mixing): depends
  * only on the two seeds, so any execution order reproduces it. A
  * sweep seed of 0 means "leave the profile seed alone", keeping the
@@ -335,9 +279,9 @@ std::string configFingerprint(const SimulationOptions &options);
  * (every generation knob plus name and seed - tests run custom
  * profiles under default names), the trace source, the warmup window,
  * which prefetcher trains, the power config, cache/bus geometry, MSHR
- * capacities (the snapshot format guards them) and the predictor/
- * prefetcher table shapes, plus the core count and per-core benchmark
- * mix (they pin every core's warmup stream). Measurement-only knobs
+ * capacities (the snapshot format guards them), the predictor table
+ * shapes and every prefetcher knob, plus the core count and per-core
+ * benchmark mix (they pin every core's warmup stream). Measurement-only knobs
  * (measure window, VSV policy, rail policy, core widths, DRAM
  * latency, fast-forward, tracing) are excluded, which is what lets
  * every VSV configuration - and both rail policies - of a benchmark
@@ -346,17 +290,7 @@ std::string configFingerprint(const SimulationOptions &options);
  */
 std::string warmupFingerprint(const SimulationOptions &options);
 
-/**
- * Stable 64-bit hex fingerprint of a whole grid: FNV-1a over every
- * job's id and configFingerprint, in submission order. A distributed
- * campaign's coordinator and workers each build the grid from their
- * own command line and exchange this value in HELLO; a mismatch means
- * the two processes would disagree about what run index N is, so the
- * worker is refused before any work is assigned (CAMPAIGNS.md).
- */
-std::string sweepGridFingerprint(const std::vector<SweepJob> &jobs);
-
-/** What the sweep JSON records about the campaign itself. */
+/** What the sweep JSON records about the sweep itself. */
 struct SweepManifest
 {
     std::string tool;                 ///< producing binary's name
@@ -367,8 +301,6 @@ struct SweepManifest
     SnapshotCacheStats snapshotCache;
     /** Lockstep batching effectiveness (enabled=false = off). */
     LockstepStats lockstep;
-    /** Distributed-campaign counters (enabled=false omits the block). */
-    CampaignStats campaign;
     /** Result-store counters (enabled=false omits the block). */
     store::ResultStoreStats store;
     /** Echo of the command-line configuration (Config::items()). */
@@ -390,20 +322,19 @@ void writeSweepJson(std::ostream &os, const SweepManifest &manifest,
 /**
  * Serialize one SimulationResult exactly as it appears under a
  * manifest run's "result" key (including the host-dependent
- * "throughput" block). Shared by the sweep exporter and the campaign
- * OUTCOME message so a result that crosses the wire re-serializes to
- * the same bytes a single-process export would have written: doubles
- * go through jsonNumber's %.17g (round-trip exact), integers are
+ * "throughput" block). Shared by the sweep exporter and the result
+ * store, so a replayed result re-serializes to the same bytes the
+ * cold run's export wrote: doubles go through jsonNumber's %.17g
+ * (round-trip exact, non-finite values as null), integers are
  * written directly.
  */
 void writeSimulationResultJson(std::ostream &os,
                                const SimulationResult &r);
 
 /**
- * Inverse of writeSimulationResultJson, used by store replay and the
- * campaign coordinator. Missing optional blocks (perCore,
- * throughput) leave their fields default; numbers written as null
- * (non-finite values) parse back as 0.0.
+ * Inverse of writeSimulationResultJson, used by store replay. Missing
+ * optional blocks (perCore, throughput) leave their fields default;
+ * numbers written as null (non-finite values) parse back as 0.0.
  */
 SimulationResult parseSimulationResultJson(const minijson::Value &r);
 

@@ -78,8 +78,8 @@ WarmupSnapshotCache::saveToDisk(const std::string &fingerprint,
                                 const std::string &bytes) const
 {
     // Write-to-temp + rename so a concurrent reader (or a killed
-    // campaign) never sees a partial snapshot; the temp name is
-    // per-process so two campaigns sharing a directory cannot
+    // sweep) never sees a partial snapshot; the temp name is
+    // per-process so two sweeps sharing a directory cannot
     // interleave writes. Disk trouble only costs persistence, never
     // the run.
     const std::string path = snapshotPath(fingerprint);
@@ -106,7 +106,7 @@ WarmupSnapshotCache::quarantineSnapshot(
     const std::string &fingerprint) const
 {
     // Without the quarantine a corrupt snapshot was re-read and
-    // re-rejected by every later worker and every later campaign
+    // re-rejected by every later worker and every later sweep
     // sharing the directory. rename() is atomic, so of several
     // processes rejecting the same file concurrently exactly one
     // wins and the rest find it already gone - both fine.
@@ -223,7 +223,7 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
         auto sim = std::make_unique<Simulator>(options);
         sim->warmup();
         // Encode only bytes something reads back: a later acquire in
-        // memory, or a later campaign from the disk directory.
+        // memory, or a later sweep from the disk directory.
         Bytes bytes;
         if (keep || !diskDir_.empty()) {
             std::ostringstream os;

@@ -36,7 +36,7 @@
  * Persistence: with a non-empty disk directory (--snapshot-dir),
  * snapshots are also written as <dir>/<fingerprint>.vsvsnap
  * (write-to-temp + rename, so readers never see partial files) and
- * probed before computing, letting warmup survive across campaigns.
+ * probed before computing, letting warmup survive across sweeps.
  * A corrupt or stale file is a miss - logged and counted, never
  * fatal.
  */
@@ -76,7 +76,7 @@ struct SnapshotCacheStats
 };
 
 /**
- * Shared warmup-state cache for one sweep campaign. Thread-safe; one
+ * Shared warmup-state cache for one sweep. Thread-safe; one
  * instance is shared by every worker of a SweepRunner.
  */
 class WarmupSnapshotCache
@@ -133,7 +133,7 @@ class WarmupSnapshotCache
 
     /**
      * Rename a rejected on-disk snapshot to `<path>.bad` so no later
-     * worker (or campaign sharing the directory) reads and rejects
+     * worker (or sweep sharing the directory) reads and rejects
      * the same bytes again; the quarantined file stays around for a
      * post-mortem. warn()s with the quarantined path.
      */

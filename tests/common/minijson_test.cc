@@ -73,7 +73,7 @@ TEST(MinijsonParse, ErrorsNameTheByteOffset)
 TEST(MinijsonParse, DeepNestingIsAParseErrorNotACrash)
 {
     // 100 000 '[' used to recurse once per bracket and overflow the
-    // stack; a campaign peer could send exactly this as its HELLO.
+    // stack; a corrupt store payload could hold exactly this.
     const std::string hostile =
         std::string(100000, '[') + std::string(100000, ']');
     try {

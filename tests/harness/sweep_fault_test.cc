@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the sweep campaign hardening: per-run fault isolation,
+ * Tests of the sweep runner's hardening: per-run fault isolation,
  * soft timeouts, the retry policy, configuration fingerprints, the
  * up-front `--json` destination check, the per-run trace path
  * derivation, and `--benchmarks` validation.
@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/minijson.hh"
 #include "harness/experiment.hh"
@@ -85,7 +90,7 @@ TEST(SweepFaultTest, OneFaultingRunDoesNotPoisonTheOthers)
     EXPECT_EQ(outcomes[2].status, SweepStatus::Ok);
     EXPECT_GT(outcomes[2].result.instructions, 0u);
 
-    // The healthy runs match an undisturbed campaign bit for bit.
+    // The healthy runs match an undisturbed sweep bit for bit.
     const SweepOutcome clean =
         SweepRunner::runOne(goodJob("mcf/base", "mcf", false));
     EXPECT_EQ(outcomes[0].statsJson, clean.statsJson);
@@ -162,6 +167,39 @@ TEST(FingerprintTest, DeterministicAndSensitiveToResults)
     EXPECT_NE(configFingerprint(twoCores), configFingerprint(fourCores));
 }
 
+TEST(FingerprintTest, EveryPrefetcherKnobPerturbsBothFingerprints)
+{
+    // Every TimekeepingConfig and StridePrefetcherConfig field can
+    // change warmup state and results, so changing any one must miss
+    // both the warmup snapshot cache and the result store.
+    using Perturb = std::function<void(SimulationOptions &)>;
+    const std::vector<std::pair<std::string, Perturb>> knobs = {
+        {"tk.bufferEntries", [](auto &o) { ++o.tk.bufferEntries; }},
+        {"tk.decayResolution", [](auto &o) { ++o.tk.decayResolution; }},
+        {"tk.deadMultiplier", [](auto &o) { o.tk.deadMultiplier += 0.5; }},
+        {"tk.predictorEntries", [](auto &o) { ++o.tk.predictorEntries; }},
+        {"tk.tagSigBits", [](auto &o) { ++o.tk.tagSigBits; }},
+        {"tk.indexSigBits", [](auto &o) { ++o.tk.indexSigBits; }},
+        {"tk.sweepSlices", [](auto &o) { ++o.tk.sweepSlices; }},
+        {"tk.minLiveTime", [](auto &o) { ++o.tk.minLiveTime; }},
+        {"tk.confidenceThreshold",
+         [](auto &o) { ++o.tk.confidenceThreshold; }},
+        {"tk.maxDeltaTags", [](auto &o) { ++o.tk.maxDeltaTags; }},
+        {"stride.streams", [](auto &o) { ++o.stride.streams; }},
+        {"stride.degree", [](auto &o) { ++o.stride.degree; }},
+        {"stride.maxStrideBytes", [](auto &o) { ++o.stride.maxStrideBytes; }},
+    };
+    const SimulationOptions base = makeOptions("mcf", true, 20000, 5000);
+    for (const auto &[name, perturb] : knobs) {
+        SimulationOptions changed = base;
+        perturb(changed);
+        EXPECT_NE(configFingerprint(base), configFingerprint(changed))
+            << name;
+        EXPECT_NE(warmupFingerprint(base), warmupFingerprint(changed))
+            << name;
+    }
+}
+
 TEST(FingerprintTest, ObservabilitySettingsDoNotPerturbIt)
 {
     // Tracing and fast-forward are proven not to change stats, so a
@@ -203,19 +241,31 @@ TEST(SweepJsonTest, FailedRunsExportStructuredErrorRecords)
     EXPECT_TRUE(runs[1].at("fingerprint").isString());
 }
 
+/**
+ * goodJob with `hook` installed as its abort hook, which the
+ * simulator polls while the run executes. The hook never aborts the
+ * run itself; it lets a test act at a point where the sweep is
+ * demonstrably simulating.
+ */
+SweepJob
+hookedJob(std::function<void()> hook)
+{
+    SweepJob job = goodJob("mcf/base", "mcf", false);
+    job.options.abortHook = [hook = std::move(hook)] {
+        hook();
+        return false;
+    };
+    return job;
+}
+
 TEST(SweepJsonTest, UnusableJsonPathFailsBeforeAnyRun)
 {
-    // The executor aborts if it is ever reached: the bad destination
-    // must end the process through fatal() before a run executes.
+    // The run aborts the process if it ever executes: the bad
+    // destination must end the process through fatal() before it does.
     ExperimentArgs args;
     args.jsonPath = "/nonexistent/vsv-sweep-json-dir/out.json";
-    const SweepExecutor mustNotRun =
-        [](const std::vector<SweepJob> &) -> std::vector<SweepOutcome> {
-        std::abort();
-    };
-    EXPECT_EXIT(runSweepWith(args, "sweep_fault_test",
-                             {goodJob("mcf/base", "mcf", false)},
-                             mustNotRun),
+    EXPECT_EXIT(runSweep(args, "sweep_fault_test",
+                         {hookedJob([] { std::abort(); })}),
                 ::testing::ExitedWithCode(1),
                 "cannot open --json output file");
 }
@@ -235,19 +285,16 @@ TEST(SweepJsonTest, DestinationCheckLeavesFilesAloneUntilTheExport)
     for (const std::string &path : {existing, fresh}) {
         ExperimentArgs args;
         args.jsonPath = path;
-        bool ran = false;
-        const SweepExecutor check =
-            [&](const std::vector<SweepJob> &prepared) {
-                ran = true;
-                EXPECT_EQ(std::filesystem::exists(path),
-                          path == existing);
-                if (path == existing) {
-                    EXPECT_EQ(slurp(path), "prior manifest");
-                }
-                return std::vector<SweepOutcome>(prepared.size());
-            };
-        runSweepWith(args, "sweep_fault_test",
-                     {goodJob("mcf/base", "mcf", false)}, check);
+        std::atomic<bool> ran{false};
+        const SweepJob check = hookedJob([&] {
+            if (ran.exchange(true))
+                return;
+            EXPECT_EQ(std::filesystem::exists(path), path == existing);
+            if (path == existing) {
+                EXPECT_EQ(slurp(path), "prior manifest");
+            }
+        });
+        runSweep(args, "sweep_fault_test", {check});
         EXPECT_TRUE(ran);
         EXPECT_EQ(minijson::parse(slurp(path)).at("runs").array().size(),
                   1u);

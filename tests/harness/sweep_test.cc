@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "common/minijson.hh"
@@ -210,6 +211,30 @@ TEST(SweepJsonTest, AbsentWarmupSecondsReadsAsZero)
     EXPECT_EQ(parseSimulationResultJson(minijson::parse(text))
                   .warmupSeconds,
               0.0);
+}
+
+TEST(SweepJsonTest, NonFiniteResultNumberRoundTripsAsZero)
+{
+    // jsonNumber writes a non-finite value as null, which
+    // parseSimulationResultJson reads back as 0.0: store replay of
+    // such a run must neither emit invalid JSON nor fail to parse.
+    SimulationResult result;
+    result.benchmark = "mcf";
+    result.ipc = std::numeric_limits<double>::quiet_NaN();
+    result.avgPowerW = std::numeric_limits<double>::infinity();
+    std::ostringstream os;
+    writeSimulationResultJson(os, result);
+    const std::string text = os.str();
+    EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+    EXPECT_EQ(text.find("inf"), std::string::npos) << text;
+    EXPECT_NE(text.find("\"ipc\":null"), std::string::npos) << text;
+    EXPECT_NE(text.find("\"avgPowerW\":null"), std::string::npos) << text;
+
+    const SimulationResult back =
+        parseSimulationResultJson(minijson::parse(text));
+    EXPECT_EQ(back.benchmark, "mcf");
+    EXPECT_EQ(back.ipc, 0.0);
+    EXPECT_EQ(back.avgPowerW, 0.0);
 }
 
 TEST(SweepJsonTest, GitDescribeIsStamped)

@@ -98,17 +98,24 @@ TEST(WarmupCacheTest, SingleConsumerWarmupsAreNeverEncoded)
 {
     // Table 2's shape: every warmup has exactly one run, so no
     // snapshot would ever be restored and none is made.
-    std::vector<SweepJob> jobs;
-    for (const std::string name : {"mcf", "ammp", "art"})
-        jobs.push_back({name, makeOptions(name, false, 5000, 3000)});
-
     SweepRunner runner(2);
     WarmupSnapshotCache cache;
     runner.enableWarmupSnapshots(cache);
-    const std::vector<SweepOutcome> outcomes = runner.run(
-        jobs, [&cache](std::size_t, const SweepOutcome &) {
+    // The abort hook is polled while each run executes: no snapshot
+    // bytes may be resident at any of those points.
+    std::atomic<unsigned> polls{0};
+    std::vector<SweepJob> jobs;
+    for (const std::string name : {"mcf", "ammp", "art"}) {
+        SweepJob job{name, makeOptions(name, false, 5000, 3000)};
+        job.options.abortHook = [&cache, &polls] {
+            ++polls;
             EXPECT_EQ(cache.residentBytes(), 0u);
-        });
+            return false;
+        };
+        jobs.push_back(job);
+    }
+    const std::vector<SweepOutcome> outcomes = runner.run(jobs);
+    EXPECT_GT(polls.load(), 0u);
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         ASSERT_EQ(outcomes[i].status, SweepStatus::Ok) << outcomes[i].error;
@@ -124,7 +131,7 @@ TEST(WarmupCacheTest, SingleConsumerWarmupsAreNeverEncoded)
 
 TEST(WarmupCacheTest, SingleConsumerWarmupIsStillWrittenToDisk)
 {
-    // A later campaign reads the directory, so a warmup with one run
+    // A later sweep reads the directory, so a warmup with one run
     // in this sweep is still persisted there - but not kept in memory.
     const std::string dir = freshDir("vsv_warmup_cache_single_disk");
     const SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
@@ -216,7 +223,7 @@ TEST(WarmupCacheTest, DiskPersistenceCarriesWarmupAcrossCampaigns)
         EXPECT_TRUE(std::filesystem::exists(dir + "/" + fp + ".vsvsnap"));
     }
 
-    // A new cache (new campaign) must find the file and skip warmup.
+    // A new cache (new sweep) must find the file and skip warmup.
     WarmupSnapshotCache cache(dir);
     const SweepOutcome second =
         SweepRunner::runOne({"mcf", options}, &cache);
@@ -259,7 +266,7 @@ TEST(WarmupCacheTest, CorruptDiskFileIsAMissNotAnError)
     EXPECT_EQ(stats.diskHits, 0u);
 
     // The rejected file was quarantined (renamed `.bad`), so no later
-    // campaign sharing this directory re-reads and re-rejects it.
+    // sweep sharing this directory re-reads and re-rejects it.
     EXPECT_TRUE(std::filesystem::exists(dir + "/" + fp +
                                         ".vsvsnap.bad"));
 

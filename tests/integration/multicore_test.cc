@@ -169,7 +169,7 @@ TEST(MulticoreTest, TwoCoreSnapshotRestoreIsBitIdentical)
 TEST(MulticoreTest, RailPoliciesShareOneWarmupSnapshot)
 {
     // Both rail policies (and baseline vs VSV) of the same 2-core
-    // workload share a warmup fingerprint: a 4-job campaign warms up
+    // workload share a warmup fingerprint: a 4-job sweep warms up
     // exactly once. Their config fingerprints stay distinct, so the
     // result store still keys results correctly.
     WarmupSnapshotCache cache;

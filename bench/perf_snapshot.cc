@@ -60,7 +60,7 @@ struct BenchResult
  * with Time-Keeping on: its multi-million-instruction warmups
  * (WorkloadProfile::tkWarmupInstructions) are the expensive ones, so
  * the TK threshold grid is where warmup deduplication pays the most -
- * and where a sweep-bound campaign actually hurts.
+ * and where splitting one grid across processes would warm it twice.
  */
 std::vector<SweepJob>
 gridFor(const ExperimentArgs &args, const std::string &bench)

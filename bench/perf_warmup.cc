@@ -8,18 +8,15 @@
  * The snapshot digest covers every warmup-mutable component (caches,
  * predictor, Time-Keeping frames and tables, workload RNG state and
  * cursors), so two builds with equal digests left identical state
- * behind. --compare=FILE reads a BENCH_warmup.json written by another
- * build (e.g. the parent commit, built in a scratch checkout) and
- * marks each profile `identical` when the digests match; the file's
- * throughput becomes the `baseline` and each profile gets a speedup.
- *
- * The exit status is nonzero if any repeat's digest differs from the
- * first or, with --compare, from the baseline's.
+ * behind. Each profile is `identical` when every repeat left the same
+ * digest; the exit status is nonzero if any repeat's digest differs
+ * from the first. scripts/bench_warmup.sh compares two builds (for
+ * example against the parent commit) from their output files.
  *
  * Flags: --benchmarks=a,b,c (default mcf,ammp,art,swim,applu)
  *        --warmup=N (0 = each profile's TK warmup) --seed=S
  *        --repeat=N (kinst/s from the median of N timed warmups)
- *        --compare=FILE --out=path (default BENCH_warmup.json)
+ *        --out=path (default BENCH_warmup.json)
  */
 
 #include <algorithm>
@@ -33,7 +30,6 @@
 
 #include "common/fnv1a.hh"
 #include "common/logging.hh"
-#include "common/minijson.hh"
 #include "harness/experiment.hh"
 #include "harness/simulator.hh"
 #include "harness/sweep.hh"
@@ -43,12 +39,6 @@ using namespace vsv;
 namespace
 {
 
-struct Baseline
-{
-    double kinstPerSec = 0.0;
-    std::string digest;
-};
-
 struct ProfileResult
 {
     std::string benchmark;
@@ -57,10 +47,7 @@ struct ProfileResult
     double kinstPerSec = 0.0;
     std::uint64_t snapshotBytes = 0;
     std::string digest;
-    bool repeatsAgree = true;
-    bool hasBaseline = false;
-    Baseline baseline;
-    bool identical = false;
+    bool identical = true;
 };
 
 /** One timed warmup; returns its host seconds and snapshot bytes. */
@@ -80,30 +67,6 @@ timedWarmup(const SimulationOptions &options, std::string &snapshot)
     return seconds;
 }
 
-/** id -> baseline, from a BENCH_warmup.json written by another build. */
-std::vector<std::pair<std::string, Baseline>>
-readBaseline(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot read --compare file: " + path);
-    std::stringstream text;
-    text << is.rdbuf();
-    std::vector<std::pair<std::string, Baseline>> out;
-    try {
-        const minijson::Value doc = minijson::parse(text.str());
-        for (const minijson::Value &run : doc.at("runs").array()) {
-            Baseline b;
-            b.kinstPerSec = run.at("kinstPerSec").num();
-            b.digest = run.at("snapshotDigest").str();
-            out.emplace_back(run.at("id").str(), b);
-        }
-    } catch (const std::exception &e) {
-        fatal("malformed --compare file " + path + ": " + e.what());
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -113,20 +76,13 @@ main(int argc, char **argv)
         argc, argv, 0, 0, {"mcf", "ammp", "art", "swim", "applu"});
     const std::string out_path =
         args.config.getString("out", "BENCH_warmup.json");
-    const std::string compare_path = args.config.getString("compare", "");
     const unsigned repeat = static_cast<unsigned>(
         std::max<std::uint64_t>(1, args.config.getUInt("repeat", 3)));
     args.config.rejectUnknown("perf_warmup");
 
-    const auto baselines = compare_path.empty()
-                               ? std::vector<std::pair<std::string,
-                                                       Baseline>>{}
-                               : readBaseline(compare_path);
-
     std::vector<ProfileResult> results;
     double total_insts = 0.0;
     double total_seconds = 0.0;
-    double total_baseline_seconds = 0.0;
     bool all_identical = true;
 
     for (const std::string &bench : args.benchmarks) {
@@ -145,7 +101,7 @@ main(int argc, char **argv)
                 r.digest = digest;
                 r.snapshotBytes = snapshot.size();
             } else if (digest != r.digest) {
-                r.repeatsAgree = false;
+                r.identical = false;
             }
         }
         r.medianSeconds = summarizeRepeats(seconds).medianSeconds;
@@ -153,24 +109,8 @@ main(int argc, char **argv)
         r.kinstPerSec =
             r.medianSeconds > 0.0 ? insts / r.medianSeconds / 1e3 : 0.0;
 
-        r.identical = r.repeatsAgree;
-        if (!compare_path.empty()) {
-            const auto it = std::find_if(
-                baselines.begin(), baselines.end(),
-                [&](const auto &b) { return b.first == bench; });
-            r.hasBaseline = it != baselines.end();
-            if (r.hasBaseline)
-                r.baseline = it->second;
-            r.identical = r.identical && r.hasBaseline &&
-                          r.baseline.digest == r.digest;
-            if (r.hasBaseline && r.baseline.kinstPerSec > 0.0)
-                total_baseline_seconds +=
-                    insts / (r.baseline.kinstPerSec * 1e3);
-        }
         if (!r.identical) {
-            warn(bench + ": post-warmup snapshot differs (" +
-                 (r.repeatsAgree ? "from the baseline" : "across repeats") +
-                 ")");
+            warn(bench + ": post-warmup snapshot differs across repeats");
             all_identical = false;
         }
         total_insts += insts;
@@ -180,24 +120,13 @@ main(int argc, char **argv)
 
     const double overall =
         total_seconds > 0.0 ? total_insts / total_seconds / 1e3 : 0.0;
-    const double baseline_overall =
-        total_baseline_seconds > 0.0
-            ? total_insts / total_baseline_seconds / 1e3
-            : 0.0;
 
     TextTable table({"benchmark", "warmup insts", "median s", "kinst/s",
-                     "baseline kinst/s", "speedup", "identical"});
+                     "identical"});
     for (const ProfileResult &r : results) {
-        const double speedup = r.hasBaseline && r.baseline.kinstPerSec > 0
-                                   ? r.kinstPerSec / r.baseline.kinstPerSec
-                                   : 0.0;
         table.addRow({r.benchmark, std::to_string(r.warmupInstructions),
                       TextTable::num(r.medianSeconds),
                       TextTable::num(r.kinstPerSec, 0),
-                      r.hasBaseline
-                          ? TextTable::num(r.baseline.kinstPerSec, 0)
-                          : "-",
-                      r.hasBaseline ? TextTable::num(speedup, 2) : "-",
                       r.identical ? "yes" : "NO"});
     }
     table.print(std::cout);
@@ -218,26 +147,13 @@ main(int argc, char **argv)
            << ", \"medianSeconds\": " << r.medianSeconds
            << ", \"kinstPerSec\": " << r.kinstPerSec
            << ", \"snapshotBytes\": " << r.snapshotBytes
-           << ", \"snapshotDigest\": \"" << r.digest << "\"";
-        if (r.hasBaseline) {
-            os << ", \"baseline\": {\"kinstPerSec\": "
-               << r.baseline.kinstPerSec << ", \"snapshotDigest\": \""
-               << r.baseline.digest << "\"}, \"speedup\": "
-               << (r.baseline.kinstPerSec > 0.0
-                       ? r.kinstPerSec / r.baseline.kinstPerSec
-                       : 0.0);
-        }
-        os << ", \"identical\": " << (r.identical ? "true" : "false")
+           << ", \"snapshotDigest\": \"" << r.digest
+           << "\", \"identical\": " << (r.identical ? "true" : "false")
            << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     os << "  ],\n"
-       << "  \"overall\": {\"kinstPerSec\": " << overall;
-    if (!compare_path.empty()) {
-        os << ", \"baselineKinstPerSec\": " << baseline_overall
-           << ", \"speedup\": "
-           << (baseline_overall > 0.0 ? overall / baseline_overall : 0.0);
-    }
-    os << ", \"allIdentical\": " << (all_identical ? "true" : "false")
+       << "  \"overall\": {\"kinstPerSec\": " << overall
+       << ", \"allIdentical\": " << (all_identical ? "true" : "false")
        << "}\n"
        << "}\n";
     inform("wrote " + out_path);

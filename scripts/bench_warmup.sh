@@ -16,7 +16,13 @@
 # build going first in every other round, so that host drift and run
 # order hit both alike. Each profile records the median over rounds
 # for both builds, the baseline's kinst/s, the speedup and whether
-# every round of both builds left byte-identical snapshots.
+# every round of both builds left byte-identical snapshots. This
+# script owns that comparison; perf_warmup only times one build.
+#
+# Exit status: 0 when every snapshot matched, 2 when some differ
+# (BENCH_warmup.json is still rewritten and says which), anything
+# else when a build, a run or the comparison failed (the checked-in
+# BENCH_warmup.json is left as it was).
 set -e
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -72,7 +78,7 @@ while [ "$round" -lt "$rounds" ]; do
 done
 
 status=0
-python3 - "$work" "$rounds" >"$work/BENCH_warmup.json" <<'EOF' || status=1
+python3 - "$work" "$rounds" >"$work/BENCH_warmup.json" <<'EOF' || status=$?
 import json
 import statistics
 import sys
@@ -140,7 +146,11 @@ print(f'  "overall": {{"kinstPerSec": {g(overall)}, '
       f'"speedup": {g(overall / base_overall)}, '
       f'"allIdentical": {"true" if all_identical else "false"}}}')
 print("}")
-sys.exit(0 if all_identical else 1)
+sys.exit(0 if all_identical else 2)
 EOF
-mv "$work/BENCH_warmup.json" "$repo/BENCH_warmup.json"
+case $status in
+  0|2) mv "$work/BENCH_warmup.json" "$repo/BENCH_warmup.json" ;;
+  *) echo "bench_warmup: comparison failed (exit $status);" \
+         "BENCH_warmup.json left unchanged" >&2 ;;
+esac
 exit $status

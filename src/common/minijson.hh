@@ -96,7 +96,7 @@ class Parser
     /**
      * Nesting limit. The documents this repo writes nest under ten
      * levels; the cap keeps the recursion (and the recursive Value
-         * destructor) bounded on hostile input such as a store payload
+     * destructor) bounded on hostile input such as a store payload
      * of 100 000 '['.
      */
     static constexpr std::size_t maxDepth = 256;

@@ -154,41 +154,41 @@ namespace
 {
 
 /**
- * fatal() unless `path` opens for writing. Append mode keeps an
- * existing manifest intact until the sweep rewrites it, and a file
- * the probe created is removed again.
+ * fatal() unless `path`, the destination of output flag `flag`, opens
+ * for writing. Append mode keeps an existing file intact until the
+ * sweep rewrites it, and a file the probe created is removed again.
  */
 void
-checkJsonDestination(const std::string &path)
+checkDestination(const std::string &path, const char *flag)
 {
     std::error_code ec;
     const bool existed = std::filesystem::exists(path, ec);
     if (!std::ofstream(path, std::ios::app))
-        fatal("cannot open --json output file: " + path);
+        fatal(std::string("cannot open ") + flag + " output file: " + path);
     if (!existed)
         std::filesystem::remove(path, ec);
 }
 
 /**
  * The per-job preparation runSweep applies before executing anything:
- * per-run trace paths derived from a shared --trace-out base, and the
- * --timeout soft deadline copied onto every job.
+ * per-run trace paths derived from a shared --trace-out base (each
+ * checked for writing), and the --timeout soft deadline.
  */
 std::vector<SweepJob>
 prepareSweepJobs(const ExperimentArgs &args,
                  const std::vector<SweepJob> &jobs)
 {
-    // A shared --trace-out base would make concurrent runs clobber
-    // one file; give each run its own path, derived from its id.
     std::vector<SweepJob> prepared = jobs;
-    if (!args.traceOut.empty() && jobs.size() > 1) {
-        for (SweepJob &job : prepared) {
+    for (SweepJob &job : prepared) {
+        // A shared --trace-out base would make concurrent runs
+        // clobber one file; give each run its own path, from its id.
+        if (!args.traceOut.empty() && jobs.size() > 1) {
             job.options.trace.path =
                 traceOutPathForRun(args.traceOut, job.id);
         }
-    }
-    if (args.timeoutSeconds > 0.0) {
-        for (SweepJob &job : prepared)
+        if (!job.options.trace.path.empty())
+            checkDestination(job.options.trace.path, "--trace-out");
+        if (args.timeoutSeconds > 0.0)
             job.softTimeoutSeconds = args.timeoutSeconds;
     }
     return prepared;
@@ -202,11 +202,12 @@ runSweep(const ExperimentArgs &args, const std::string &tool,
 {
     // Every binary has read its extra keys by now; anything still
     // unqueried is a typo the user should hear about before hours of
-    // simulation, not after. The same goes for an unusable --json
-    // destination.
+    // simulation, not after. The same goes for an unusable --json or
+    // per-run --trace-out destination.
     args.config.rejectUnknown(tool);
     if (!args.jsonPath.empty())
-        checkJsonDestination(args.jsonPath);
+        checkDestination(args.jsonPath, "--json");
+    const std::vector<SweepJob> prepared = prepareSweepJobs(args, jobs);
 
     SweepRunner runner(args.jobs, args.retries);
     // Lockstep batching: structurally identical configs share one
@@ -234,8 +235,7 @@ runSweep(const ExperimentArgs &args, const std::string &tool,
     }
 
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<SweepOutcome> outcomes =
-        runner.run(prepareSweepJobs(args, jobs));
+    const std::vector<SweepOutcome> outcomes = runner.run(prepared);
     const double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

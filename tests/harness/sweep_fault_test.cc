@@ -2,8 +2,8 @@
  * @file
  * Tests of the sweep runner's hardening: per-run fault isolation,
  * soft timeouts, the retry policy, configuration fingerprints, the
- * up-front `--json` destination check, the per-run trace path
- * derivation, and `--benchmarks` validation.
+ * up-front `--json` and `--trace-out` destination checks, the per-run
+ * trace path derivation, and `--benchmarks` validation.
  */
 
 #include <gtest/gtest.h>
@@ -268,6 +268,22 @@ TEST(SweepJsonTest, UnusableJsonPathFailsBeforeAnyRun)
                          {hookedJob([] { std::abort(); })}),
                 ::testing::ExitedWithCode(1),
                 "cannot open --json output file");
+}
+
+TEST(SweepJsonTest, UnusableTraceOutPathFailsBeforeAnyRun)
+{
+    // Two runs, so each traces to its own path derived from the
+    // shared base; the first unusable one must end the process
+    // through fatal() before either run executes.
+    ExperimentArgs args;
+    args.traceOut = "/nonexistent/vsv-sweep-trace-dir/t.json";
+    SweepJob other = hookedJob([] { std::abort(); });
+    other.id = "mcf/vsv";
+    EXPECT_EXIT(runSweep(args, "sweep_fault_test",
+                         {hookedJob([] { std::abort(); }), other}),
+                ::testing::ExitedWithCode(1),
+                "cannot open --trace-out output file: "
+                "/nonexistent/vsv-sweep-trace-dir/t.mcf-base.json");
 }
 
 TEST(SweepJsonTest, DestinationCheckLeavesFilesAloneUntilTheExport)

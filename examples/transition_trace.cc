@@ -18,7 +18,6 @@
  */
 
 #include <bit>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -139,12 +138,7 @@ main(int argc, char **argv)
               << " nJ; " << sink.eventCount() << " events recorded\n";
 
     if (!trace_out.empty()) {
-        std::ofstream os(trace_out);
-        if (!os) {
-            std::cerr << "cannot open " << trace_out << '\n';
-            return 1;
-        }
-        sink.writeChromeJson(os, 0, now);
+        sink.writeChromeJsonFile(trace_out, 0, now);
         std::cout << "wrote " << trace_out << '\n';
     }
 

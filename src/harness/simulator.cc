@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 
 #include "common/logging.hh"
 #include "snapshot/snapshot.hh"
@@ -87,19 +86,10 @@ Simulator::Simulator(const SimulationOptions &options)
         slices[c].profile = coreProfile(c);
         slices[c].power = std::make_unique<PowerModel>(options.power);
     }
-    if (n > 1) {
+    if (n > 1)
         uncorePower_ = std::make_unique<PowerModel>(options.power);
-        uncorePower = uncorePower_.get();
-    } else {
-        uncorePower = slices[0].power.get();
-    }
-
-    hierarchy = std::make_unique<MemoryHierarchy>(options.hierarchy,
-                                                  *uncorePower, n);
-    if (n > 1) {
-        for (std::uint32_t c = 0; c < n; ++c)
-            hierarchy->setCorePower(c, slices[c].power.get());
-    }
+    hierarchy = std::make_unique<MemoryHierarchy>(
+        options.hierarchy, n > 1 ? *uncorePower_ : *slices[0].power, n);
 
     // Hardware prefetchers observe core 0's L1D only (the hierarchy
     // routes its notify hooks there); their table/buffer energy is
@@ -113,6 +103,10 @@ Simulator::Simulator(const SimulationOptions &options)
             options.stride, options.hierarchy.l1d, *slices[0].power);
         hierarchy->setPrefetcher(stride.get());
     }
+    if (n > 1 && options.railPolicy == RailPolicy::SharedVote)
+        arbiter = std::make_unique<RailArbiter>(n);
+    if (!options.trace.path.empty())
+        traceSink = std::make_unique<TraceSink>(options.trace.categories);
 
     for (std::uint32_t c = 0; c < n; ++c) {
         CoreSlice &cs = slices[c];
@@ -135,48 +129,31 @@ Simulator::Simulator(const SimulationOptions &options)
         }
         cs.vsvCtrl = std::make_unique<VsvController>(options.vsv,
                                                      *cs.power);
+        if (n > 1)
+            hierarchy->setCorePower(c, cs.power.get());
         hierarchy->setCoreMissListener(c, cs.vsvCtrl.get());
         cs.cpu = std::make_unique<Core>(options.core, *cs.source,
                                         *hierarchy, *cs.predictor,
                                         *cs.power);
         cs.cpu->setCoreId(c);
-    }
-
-    if (n > 1 && options.railPolicy == RailPolicy::SharedVote) {
-        arbiter = std::make_unique<RailArbiter>(n);
-        for (std::uint32_t c = 0; c < n; ++c) {
-            slices[c].vsvCtrl->setRailArbiter(arbiter.get(), c);
+        if (arbiter) {
+            cs.vsvCtrl->setRailArbiter(arbiter.get(), c);
             // One physical rail: core 0 represents its swing energy;
             // the others transition in lockstep without re-charging.
-            if (c > 0)
-                slices[c].vsvCtrl->setChargeRampEnergy(false);
+            cs.vsvCtrl->setChargeRampEnergy(c == 0);
         }
-    }
-
-    if (!options.trace.path.empty()) {
-        traceSink = std::make_unique<TraceSink>(options.trace.categories);
-        for (std::uint32_t c = 0; c < n; ++c) {
+        if (traceSink) {
             const auto core16 = static_cast<std::uint16_t>(c);
-            slices[c].power->setTraceSink(traceSink.get(), core16);
-            slices[c].vsvCtrl->setTraceSink(traceSink.get(), core16);
-            slices[c].cpu->setTraceSink(traceSink.get());
+            cs.power->setTraceSink(traceSink.get(), core16);
+            cs.vsvCtrl->setTraceSink(traceSink.get(), core16);
+            cs.cpu->setTraceSink(traceSink.get());
         }
-        hierarchy->setTraceSink(traceSink.get());
     }
+    if (traceSink)
+        hierarchy->setTraceSink(traceSink.get());
 
     if (n == 1) {
-        // The original single-core stat layout, name for name.
-        slices[0].power->regStats(registry, "power");
-        hierarchy->regStats(registry, "mem");
-        slices[0].predictor->regStats(registry, "bpred");
-        slices[0].vsvCtrl->regStats(registry, "vsv");
-        slices[0].cpu->regStats(registry, "cpu");
-        if (tk)
-            tk->regStats(registry, "tk");
-        if (stride)
-            stride->regStats(registry, "stride");
-        if (slices[0].traceReader)
-            slices[0].traceReader->regStats(registry, "trace");
+        regSingleCoreStats(registry, *slices[0].power);
     } else {
         for (std::uint32_t c = 0; c < n; ++c) {
             const CoreSlice &cs = slices[c];
@@ -189,7 +166,7 @@ Simulator::Simulator(const SimulationOptions &options)
             if (cs.traceReader)
                 cs.traceReader->regStats(registry, prefix + ".trace");
         }
-        uncorePower->regStats(registry, "power");
+        uncorePower_->regStats(registry, "power");
         hierarchy->regStatsShared(registry, "mem");
         if (tk)
             tk->regStats(registry, "tk");
@@ -201,6 +178,38 @@ Simulator::Simulator(const SimulationOptions &options)
 }
 
 Simulator::~Simulator() = default;
+
+/** The original single-core stat layout, name for name, priced by
+ *  the leader's model or a lockstep replica's. */
+void
+Simulator::regSingleCoreStats(StatRegistry &reg,
+                              const PowerModel &power) const
+{
+    power.regStats(reg, "power");
+    hierarchy->regStats(reg, "mem");
+    slices[0].predictor->regStats(reg, "bpred");
+    slices[0].vsvCtrl->regStats(reg, "vsv");
+    slices[0].cpu->regStats(reg, "cpu");
+    if (tk)
+        tk->regStats(reg, "tk");
+    if (stride)
+        stride->regStats(reg, "stride");
+    if (slices[0].traceReader)
+        slices[0].traceReader->regStats(reg, "trace");
+}
+
+std::vector<const PowerModel *>
+Simulator::powerModels() const
+{
+    std::vector<const PowerModel *> models;
+    for (const CoreSlice &cs : slices)
+        models.push_back(cs.power.get());
+    if (uncorePower_)
+        models.push_back(uncorePower_.get());
+    for (const PowerModel &rp : replicaPower)
+        models.push_back(&rp);
+    return models;
+}
 
 namespace
 {
@@ -257,22 +266,16 @@ Simulator::functionalWarmup()
         CoreSlice &cs = slices[c];
         const Addr base = coreAddrBase(c);
         const WorkloadProfile &profile = cs.profile;
-        for (Addr offset = 0; offset < profile.hotFootprint;
-             offset += 32) {
-            hierarchy->warmupDataAccess(base + WorkloadRegions::hot +
-                                            offset,
-                                        false, warmupTicks++, c);
+        for (const auto &[region, footprint] :
+             {std::pair{WorkloadRegions::hot, profile.hotFootprint},
+              std::pair{WorkloadRegions::warm, profile.warmFootprint}}) {
+            for (Addr offset = 0; offset < footprint; offset += 32) {
+                hierarchy->warmupDataAccess(base + region + offset, false,
+                                            warmupTicks++, c);
+            }
         }
-        for (Addr offset = 0; offset < profile.warmFootprint;
-             offset += 32) {
-            hierarchy->warmupDataAccess(base + WorkloadRegions::warm +
-                                            offset,
-                                        false, warmupTicks++, c);
-        }
-        for (Addr offset = 0; offset < profile.codeFootprint;
-             offset += 32) {
-            hierarchy->warmupInstAccess(base + WorkloadRegions::code +
-                                            offset,
+        for (Addr offset = 0; offset < profile.codeFootprint; offset += 32) {
+            hierarchy->warmupInstAccess(base + WorkloadRegions::code + offset,
                                         warmupTicks++, c);
         }
         // Advance one tick per instruction so the Time-Keeping decay
@@ -331,24 +334,8 @@ Simulator::materializeReplicas()
     // exactly as a serial run of that config would charge them.
     slices[0].power->setFanout(replicaPower.data(), m);
     replicaRegistries.resize(m);
-
-    // Per-replica registries mirror the serial single-core layout
-    // name for name and in the same insertion order, substituting the
-    // replica's own power model for the leader's.
-    for (std::size_t r = 0; r < m; ++r) {
-        StatRegistry &reg = replicaRegistries[r];
-        replicaPower[r].regStats(reg, "power");
-        hierarchy->regStats(reg, "mem");
-        slices[0].predictor->regStats(reg, "bpred");
-        slices[0].vsvCtrl->regStats(reg, "vsv");
-        slices[0].cpu->regStats(reg, "cpu");
-        if (tk)
-            tk->regStats(reg, "tk");
-        if (stride)
-            stride->regStats(reg, "stride");
-        if (slices[0].traceReader)
-            slices[0].traceReader->regStats(reg, "trace");
-    }
+    for (std::size_t r = 0; r < m; ++r)
+        regSingleCoreStats(replicaRegistries[r], replicaPower[r]);
 }
 
 void
@@ -364,6 +351,35 @@ Simulator::warmup()
                          std::chrono::steady_clock::now() - start)
                          .count();
     warmedUp_ = true;
+}
+
+/** Every warmup-mutable component in snapshot order: core 0 and the
+ *  shared structures (the original layout), cores 1..N-1, uncore. */
+template <typename Visit>
+void
+Simulator::visitWarmState(Visit &&visit) const
+{
+    const auto source = [&](const CoreSlice &cs) {
+        if (cs.traceReader)
+            visit(*cs.traceReader);
+        else
+            visit(*cs.workload);
+    };
+    visit(*slices[0].power);
+    visit(*hierarchy);
+    visit(*slices[0].predictor);
+    if (tk)
+        visit(*tk);
+    if (stride)
+        visit(*stride);
+    source(slices[0]);
+    for (std::size_t c = 1; c < slices.size(); ++c) {
+        visit(*slices[c].power);
+        visit(*slices[c].predictor);
+        source(slices[c]);
+    }
+    if (uncorePower_)
+        visit(*uncorePower_);
 }
 
 void
@@ -386,30 +402,7 @@ Simulator::snapshotTo(std::ostream &os,
         writer.str(slices[c].profile.name);
     writer.end();
 
-    // Core 0 and the shared structures first (the original layout),
-    // then cores 1..N-1, then the separate uncore model.
-    slices[0].power->snapshot(writer);
-    hierarchy->snapshot(writer);
-    slices[0].predictor->snapshot(writer);
-    if (tk)
-        tk->snapshot(writer);
-    if (stride)
-        stride->snapshot(writer);
-    if (slices[0].traceReader)
-        slices[0].traceReader->snapshot(writer);
-    else
-        slices[0].workload->snapshot(writer);
-    for (std::size_t c = 1; c < slices.size(); ++c) {
-        const CoreSlice &cs = slices[c];
-        cs.power->snapshot(writer);
-        cs.predictor->snapshot(writer);
-        if (cs.traceReader)
-            cs.traceReader->snapshot(writer);
-        else
-            cs.workload->snapshot(writer);
-    }
-    if (uncorePower_)
-        uncorePower_->snapshot(writer);
+    visitWarmState([&](const auto &part) { part.snapshot(writer); });
     writer.finish();
 }
 
@@ -463,28 +456,7 @@ Simulator::restoreFrom(std::istream &is,
                 "snapshot: prefetcher/source wiring mismatch");
         }
 
-        slices[0].power->restore(reader);
-        hierarchy->restore(reader);
-        slices[0].predictor->restore(reader);
-        if (tk)
-            tk->restore(reader);
-        if (stride)
-            stride->restore(reader);
-        if (slices[0].traceReader)
-            slices[0].traceReader->restore(reader);
-        else
-            slices[0].workload->restore(reader);
-        for (std::size_t c = 1; c < slices.size(); ++c) {
-            CoreSlice &cs = slices[c];
-            cs.power->restore(reader);
-            cs.predictor->restore(reader);
-            if (cs.traceReader)
-                cs.traceReader->restore(reader);
-            else
-                cs.workload->restore(reader);
-        }
-        if (uncorePower_)
-            uncorePower_->restore(reader);
+        visitWarmState([&](auto &part) { part.restore(reader); });
         reader.expectEnd();
         warmupTicks = snapshot_warmup_ticks;
     } catch (const SnapshotError &e) {
@@ -493,6 +465,50 @@ Simulator::restoreFrom(std::istream &is,
     warmedUp_ = true;
 }
 
+/**
+ * run()'s state. It opens at the first measured tick with the baseline
+ * warmup left behind (powerModels()' energy, the demand L2 misses).
+ */
+struct Simulator::MeasuredWindow
+{
+    explicit MeasuredWindow(const Simulator &sim)
+        : start(sim.warmupTicks),
+          now(start),
+          target(sim.options.measureInstructions),
+          // Deadlock guard: even mcf at IPC ~0.29 needs ~7 ticks per
+          // instruction at half clock; 1000x (per core - the cores
+          // share one bus) is unambiguous breakage.
+          limit(start + 64 + 1000 * target * sim.cores()),
+          lastIssued(sim.cores(), 1),
+          ffBudget(sim.cores()),
+          edgeThisTick(sim.cores())
+    {
+        for (const PowerModel *model : sim.powerModels())
+            energy0.push_back(model->totalEnergyPj());
+        misses0 = sim.hierarchy->demandL2MissCount();
+    }
+
+    bool finished(const Core &cpu) const
+    {
+        return cpu.committedInstructions() >= target;
+    }
+
+    const Tick start;
+    Tick now;
+    const std::uint64_t target;  ///< instructions per core
+    const Tick limit;
+    std::vector<double> energy0;
+    std::uint64_t misses0 = 0;
+    // lastIssued starts nonzero so the first measured tick always
+    // takes the per-tick path (closing any power accesses left open
+    // by warmup); afterwards a fast-forward is attempted only while
+    // every core's last pipeline cycle issued nothing.
+    std::vector<std::uint32_t> lastIssued;
+    std::vector<Cycle> ffBudget;
+    std::vector<char> edgeThisTick;
+    Tick ffTicks = 0;
+};
+
 SimulationResult
 Simulator::run()
 {
@@ -500,302 +516,223 @@ Simulator::run()
 
     warmup();
     ran = true;
+    MeasuredWindow w(*this);
 
-    const std::uint32_t n = cores();
-
-    // Snapshot the warmup's contribution so results are pure deltas.
-    std::vector<double> energy0(n);
-    for (std::uint32_t c = 0; c < n; ++c)
-        energy0[c] = slices[c].power->totalEnergyPj();
-    const double uncore_energy0 =
-        uncorePower_ ? uncorePower_->totalEnergyPj() : 0.0;
-    std::vector<double> replicaEnergy0(replicaPower.size());
-    for (std::size_t r = 0; r < replicaPower.size(); ++r)
-        replicaEnergy0[r] = replicaPower[r].totalEnergyPj();
-    const std::uint64_t misses0 = hierarchy->demandL2MissCount();
-
-    const std::uint64_t target = options.measureInstructions;
-    const Tick start = warmupTicks;
-    Tick now = start;
-
-    // Deadlock guard: even mcf at IPC ~0.29 needs ~7 ticks per
-    // instruction at half clock; 1000x (per core - the cores share
-    // one bus) is unambiguous breakage.
-    const Tick limit =
-        start + 64 + 1000 * options.measureInstructions * n;
-
-    // Fast-forward state. lastIssued starts nonzero so the first
-    // measured tick always takes the per-tick path (closing any
-    // power accesses left open by warmup); afterwards a fast-forward
-    // is attempted only while every core's last pipeline cycle issued
-    // nothing.
-    std::vector<std::uint32_t> lastIssued(n, 1);
-    std::vector<Cycle> ffBudget(n);
-    std::vector<char> ffDone(n);
-    std::vector<char> edgeThisTick(n);
-    Tick ffTicks = 0;
-
-    // Interval-stats sampler: constructed here (not in the ctor) so
-    // the baselines exclude warmup, like every other result delta.
-    if (traceSink && options.trace.intervalTicks > 0 &&
-        traceSink->wants(TraceCategory::Interval)) {
-        std::vector<std::string> scalars;
-        if (n == 1) {
-            scalars = {"cpu.committed", "cpu.issued",
-                       "mem.demandL2Misses"};
-        } else {
-            for (std::uint32_t c = 0; c < n; ++c) {
-                const std::string prefix = "core" + std::to_string(c);
-                scalars.push_back(prefix + ".cpu.committed");
-                scalars.push_back(prefix + ".cpu.issued");
-            }
-            scalars.push_back("mem.demandL2Misses");
-        }
-        scalars.insert(scalars.end(),
-                       options.trace.intervalScalars.begin(),
-                       options.trace.intervalScalars.end());
-        sampler = std::make_unique<IntervalStatsSampler>(
-            *traceSink, registry, options.trace.intervalTicks, scalars,
-            start);
-        sampler->setEnergyProbe([this] {
-            double e = 0.0;
-            for (const CoreSlice &cs : slices)
-                e += cs.power->peekTotalEnergyPj();
-            if (uncorePower_)
-                e += uncorePower_->peekTotalEnergyPj();
-            return e;
-        });
+    // Constructed here (not in the ctor) so the sampler's baselines
+    // exclude warmup, like every other result delta.
+    if (traceSink) {
+        sampler = IntervalStatsSampler::forRun(
+            *traceSink, registry, options.trace, cores(), w.start, [this] {
+                double e = 0.0;
+                for (const CoreSlice &cs : slices)
+                    e += cs.power->peekTotalEnergyPj();
+                if (uncorePower_)
+                    e += uncorePower_->peekTotalEnergyPj();
+                return e;
+            });
     }
 
     const auto wallStart = std::chrono::steady_clock::now();
-
-    const auto allFinished = [&] {
-        for (const CoreSlice &cs : slices) {
-            if (cs.cpu->committedInstructions() < target)
-                return false;
-        }
-        return true;
-    };
-
     AbortPoller poller(options.abortHook);
-    while (!allFinished()) {
+    const auto done = [&](const CoreSlice &cs) { return w.finished(*cs.cpu); };
+    while (!std::all_of(slices.begin(), slices.end(), done)) {
         poller.poll("measurement");
-        if (sampler && now >= sampler->nextSampleAt())
-            sampler->sample(now);
-
-        // Idle-tick fast-forward: with every controller in a steady
-        // state, no memory event due, and every core provably unable
-        // to make progress, the upcoming ticks are pure bookkeeping -
-        // apply it in bulk and jump. The jump is the *minimum* of the
-        // per-core plans, so no core skips past a tick where its FSM
-        // could settle or its clock schedule matters. Exact by
-        // construction (DESIGN.md §5d); `--no-fast-forward` runs the
-        // loop below for every tick instead.
-        if (options.fastForward) {
-            bool all_idle = true;
-            for (std::uint32_t c = 0; c < n && all_idle; ++c) {
-                all_idle = lastIssued[c] == 0 &&
-                           slices[c].vsvCtrl->inSteadyState();
-            }
-            const Tick nextEv =
-                all_idle ? hierarchy->nextEventTick() : Tick{0};
-            if (all_idle && nextEv > now) {
-                bool viable = true;
-                for (std::uint32_t c = 0; c < n && viable; ++c) {
-                    // A core past its instruction target no longer
-                    // runs pipeline cycles; only its controller keeps
-                    // ticking, so its stall bound is unlimited.
-                    ffDone[c] = slices[c].cpu->committedInstructions() >=
-                                target;
-                    ffBudget[c] =
-                        ffDone[c] ? maxTick
-                                  : slices[c].cpu->cyclesUntilProgress();
-                    viable = ffBudget[c] > 0;
-                }
-                if (viable) {
-                    Tick horizon = std::min(nextEv - now, limit - now);
-                    if (tk) {
-                        // tk->tick() is a strict no-op before its next
-                        // decay sweep; never skip across one.
-                        const Tick sweep = tk->nextSweepAt();
-                        horizon = std::min(
-                            horizon, sweep > now ? sweep - now : Tick{0});
-                    }
-                    if (sampler) {
-                        // Epoch boundaries land on exact ticks whether
-                        // or not fast-forward is on (DESIGN.md §5e).
-                        horizon = std::min(horizon,
-                                           sampler->nextSampleAt() - now);
-                    }
-                    Tick jump = horizon;
-                    for (std::uint32_t c = 0; c < n && jump > 0; ++c) {
-                        jump = std::min(
-                            jump, slices[c]
-                                      .vsvCtrl
-                                      ->planIdleAdvance(now, horizon,
-                                                        ffBudget[c])
-                                      .ticks);
-                    }
-                    if (jump > 0) {
-                        for (std::uint32_t c = 0; c < n; ++c) {
-                            const VsvController::IdleAdvance adv =
-                                slices[c].vsvCtrl->advanceIdle(
-                                    now, jump, ffBudget[c]);
-                            VSV_ASSERT(adv.ticks == jump,
-                                       "idle commit shorter than plan");
-                            if (traceSink) {
-                                traceSink->record(
-                                    TraceCategory::FastForward,
-                                    TraceEventKind::IdleSpan, now,
-                                    adv.ticks, adv.edges,
-                                    static_cast<std::uint16_t>(c));
-                            }
-                            if (!ffDone[c])
-                                slices[c].cpu->skipIdleCycles(adv.edges);
-                            slices[c].power->accrueIdleTicks(
-                                adv.edges, adv.ticks - adv.edges);
-                        }
-                        if (uncorePower_) {
-                            // The uncore clock never divides: every
-                            // skipped tick is an edge tick there.
-                            uncorePower_->accrueIdleTicks(jump, 0);
-                        }
-                        ffTicks += jump;
-                        now += jump;
-                        continue;
-                    }
-                }
-            }
-        }
-
-        hierarchy->service(now);
-        for (std::uint32_t c = 0; c < n; ++c) {
-            CoreSlice &cs = slices[c];
-            const bool edge = cs.vsvCtrl->beginTick(now);
-            edgeThisTick[c] = edge;
-            if (edge) {
-                std::uint32_t issued = 0;
-                if (cs.cpu->committedInstructions() < target)
-                    issued = cs.cpu->cycle(now);
-                cs.vsvCtrl->observeIssueRate(issued);
-                lastIssued[c] = issued;
-            }
-        }
-        if (tk)
-            tk->tick(now);
-        for (std::uint32_t c = 0; c < n; ++c)
-            slices[c].power->tick(edgeThisTick[c] != 0);
-        if (uncorePower_)
-            uncorePower_->tick(true);
-        ++now;
-        if (now >= limit) {
-            std::uint64_t committed = 0;
-            for (const CoreSlice &cs : slices)
-                committed += cs.cpu->committedInstructions();
-            panic("simulation deadlock: " + std::to_string(committed) +
-                  "/" + std::to_string(target * n) +
-                  " instructions after " + std::to_string(now - start) +
-                  " ticks (" + options.profile.name + ")");
-        }
+        if (sampler && w.now >= sampler->nextSampleAt())
+            sampler->sample(w.now);
+        const Tick jump = options.fastForward ? planIdleJump(w) : 0;
+        if (jump > 0)
+            commitIdleJump(w, jump);
+        else
+            stepTick(w);
     }
-
-    const auto wallEnd = std::chrono::steady_clock::now();
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - wallStart;
 
     if (sampler)
-        sampler->finish(now);
+        sampler->finish(w.now);
+    SimulationResult result = collectResult(w, wall.count());
+    if (traceSink) {
+        traceSink->writeChromeJsonFile(options.trace.path, w.start,
+                                       w.now);
+    }
+    return result;
+}
 
+/**
+ * Idle-tick fast-forward: with every controller in a steady state, no
+ * memory event due and every core provably stalled, the next ticks are
+ * pure bookkeeping. Returns how many to apply in bulk (the minimum of
+ * the per-core plans), or 0 to step the next tick (DESIGN.md §5d).
+ */
+Tick
+Simulator::planIdleJump(MeasuredWindow &w) const
+{
+    const Tick now = w.now;
+    for (std::uint32_t c = 0; c < cores(); ++c) {
+        if (w.lastIssued[c] != 0 || !slices[c].vsvCtrl->inSteadyState())
+            return 0;
+    }
+    const Tick nextEv = hierarchy->nextEventTick();
+    if (nextEv <= now)
+        return 0;
+    for (std::uint32_t c = 0; c < cores(); ++c) {
+        // A core past its instruction target no longer runs pipeline
+        // cycles; only its controller keeps ticking, so its stall
+        // bound is unlimited.
+        const Core &cpu = *slices[c].cpu;
+        w.ffBudget[c] = w.finished(cpu) ? maxTick : cpu.cyclesUntilProgress();
+        if (w.ffBudget[c] == 0)
+            return 0;
+    }
+
+    Tick horizon = std::min(nextEv - now, w.limit - now);
+    if (tk) {
+        // tk->tick() is a strict no-op before its next decay sweep;
+        // never skip across one.
+        const Tick sweep = tk->nextSweepAt();
+        horizon = std::min(horizon, sweep > now ? sweep - now : Tick{0});
+    }
+    if (sampler) {
+        // Epoch boundaries land on exact ticks whether or not
+        // fast-forward is on (DESIGN.md §5e).
+        horizon = std::min(horizon, sampler->nextSampleAt() - now);
+    }
+    Tick jump = horizon;
+    for (std::uint32_t c = 0; c < cores() && jump > 0; ++c) {
+        const VsvController &ctrl = *slices[c].vsvCtrl;
+        jump = std::min(
+            jump, ctrl.planIdleAdvance(now, horizon, w.ffBudget[c]).ticks);
+    }
+    return jump;
+}
+
+void
+Simulator::commitIdleJump(MeasuredWindow &w, Tick jump)
+{
+    for (std::uint32_t c = 0; c < cores(); ++c) {
+        CoreSlice &cs = slices[c];
+        const VsvController::IdleAdvance adv =
+            cs.vsvCtrl->advanceIdle(w.now, jump, w.ffBudget[c]);
+        VSV_ASSERT(adv.ticks == jump, "idle commit shorter than plan");
+        if (traceSink) {
+            traceSink->record(TraceCategory::FastForward,
+                              TraceEventKind::IdleSpan, w.now, adv.ticks,
+                              adv.edges, static_cast<std::uint16_t>(c));
+        }
+        if (!w.finished(*cs.cpu))
+            cs.cpu->skipIdleCycles(adv.edges);
+        cs.power->accrueIdleTicks(adv.edges, adv.ticks - adv.edges);
+    }
+    // The uncore clock never divides: every skipped tick is an edge
+    // tick there.
+    if (uncorePower_)
+        uncorePower_->accrueIdleTicks(jump, 0);
+    w.ffTicks += jump;
+    w.now += jump;
+}
+
+void
+Simulator::stepTick(MeasuredWindow &w)
+{
+    const Tick now = w.now;
+    hierarchy->service(now);
+    for (std::uint32_t c = 0; c < cores(); ++c) {
+        CoreSlice &cs = slices[c];
+        const bool edge = cs.vsvCtrl->beginTick(now);
+        w.edgeThisTick[c] = edge;
+        if (edge) {
+            const std::uint32_t issued =
+                w.finished(*cs.cpu) ? 0 : cs.cpu->cycle(now);
+            cs.vsvCtrl->observeIssueRate(issued);
+            w.lastIssued[c] = issued;
+        }
+    }
+    if (tk)
+        tk->tick(now);
+    for (std::uint32_t c = 0; c < cores(); ++c)
+        slices[c].power->tick(w.edgeThisTick[c] != 0);
+    if (uncorePower_)
+        uncorePower_->tick(true);
+    if (++w.now >= w.limit) {
+        std::uint64_t committed = 0;
+        for (const CoreSlice &cs : slices)
+            committed += cs.cpu->committedInstructions();
+        panic("simulation deadlock: " + std::to_string(committed) + "/" +
+              std::to_string(w.target * cores()) +
+              " instructions after " + std::to_string(w.now - w.start) +
+              " ticks (" + options.profile.name + ")");
+    }
+}
+
+SimulationResult
+Simulator::collectResult(const MeasuredWindow &w, double wall_s)
+{
     // Convert any idle ticks still banked in the power models so the
     // registered Scalars (read directly by stats dumps) are final.
-    for (const CoreSlice &cs : slices)
-        cs.power->flushIdle();
-    if (uncorePower_)
-        uncorePower_->flushIdle();
-    for (const PowerModel &rp : replicaPower)
-        rp.flushIdle();
+    const std::vector<const PowerModel *> models = powerModels();
+    for (const PowerModel *model : models)
+        model->flushIdle();
+    const auto energy = [&](std::size_t i) {
+        return models[i]->totalEnergyPj() - w.energy0[i];
+    };
 
+    const std::uint32_t n = cores();
     SimulationResult result;
     result.benchmark = options.profile.name;
-    result.ticks = now - start;
+    result.ticks = w.now - w.start;
     const auto ticks_d = static_cast<double>(result.ticks);
-
-    double energy = 0.0;
+    std::vector<CoreRunResult> per_core(n);
     double low_frac_sum = 0.0;
     for (std::uint32_t c = 0; c < n; ++c) {
         const CoreSlice &cs = slices[c];
-        result.instructions += cs.cpu->committedInstructions();
-        result.pipelineCycles += cs.cpu->pipelineCycles();
-        result.downTransitions += cs.vsvCtrl->downTransitions();
-        result.upTransitions += cs.vsvCtrl->upTransitions();
-        energy += cs.power->totalEnergyPj() - energy0[c];
-
-        low_frac_sum +=
+        CoreRunResult &cr = per_core[c];
+        cr.benchmark = cs.profile.name;
+        cr.instructions = cs.cpu->committedInstructions();
+        cr.pipelineCycles = cs.cpu->pipelineCycles();
+        cr.ipc = static_cast<double>(cr.instructions) / ticks_d;
+        cr.energyPj = energy(c);
+        cr.downTransitions = cs.vsvCtrl->downTransitions();
+        cr.upTransitions = cs.vsvCtrl->upTransitions();
+        cr.lowModeFraction =
             static_cast<double>(cs.vsvCtrl->lowModeTicks()) / ticks_d;
+
+        result.instructions += cr.instructions;
+        result.pipelineCycles += cr.pipelineCycles;
+        result.downTransitions += cr.downTransitions;
+        result.upTransitions += cr.upTransitions;
+        result.energyPj += cr.energyPj;
+        low_frac_sum += cr.lowModeFraction;
     }
     if (uncorePower_)
-        energy += uncorePower_->totalEnergyPj() - uncore_energy0;
+        result.energyPj += energy(n);
+    if (n > 1)
+        result.perCore = std::move(per_core);
 
     result.ipc = static_cast<double>(result.instructions) / ticks_d;
     result.mr = 1000.0 *
                 static_cast<double>(hierarchy->demandL2MissCount() -
-                                    misses0) /
+                                    w.misses0) /
                 static_cast<double>(result.instructions);
-    result.energyPj = energy;
     result.avgPowerW = result.energyPj / ticks_d * 1e-3;
     result.lowModeFraction = low_frac_sum / static_cast<double>(n);
-
-    if (n > 1) {
-        for (std::uint32_t c = 0; c < n; ++c) {
-            const CoreSlice &cs = slices[c];
-            CoreRunResult cr;
-            cr.benchmark = cs.profile.name;
-            cr.instructions = cs.cpu->committedInstructions();
-            cr.pipelineCycles = cs.cpu->pipelineCycles();
-            cr.ipc = static_cast<double>(cr.instructions) / ticks_d;
-            cr.energyPj = cs.power->totalEnergyPj() - energy0[c];
-            cr.downTransitions = cs.vsvCtrl->downTransitions();
-            cr.upTransitions = cs.vsvCtrl->upTransitions();
-            cr.lowModeFraction =
-                static_cast<double>(cs.vsvCtrl->lowModeTicks()) / ticks_d;
-            result.perCore.push_back(std::move(cr));
-        }
-    }
-
-    result.wallSeconds =
-        std::chrono::duration<double>(wallEnd - wallStart).count();
+    result.wallSeconds = wall_s;
     result.kinstPerSec =
-        result.wallSeconds > 0.0
-            ? static_cast<double>(result.instructions) /
-                  result.wallSeconds / 1e3
+        wall_s > 0.0
+            ? static_cast<double>(result.instructions) / wall_s / 1e3
             : 0.0;
-    result.fastForwardedTicks = ffTicks;
-    result.ffTickFraction = static_cast<double>(ffTicks) /
-                            static_cast<double>(result.ticks);
+    result.fastForwardedTicks = w.ffTicks;
+    result.ffTickFraction = static_cast<double>(w.ffTicks) / ticks_d;
     result.warmupSeconds = warmupSeconds_;
 
     // A replica's result is the leader's with its own energy: batch
     // members differ only in the power accounting.
+    const std::size_t first_replica = models.size() - replicaPower.size();
     replicaResults_.reserve(replicaPower.size());
     for (std::size_t r = 0; r < replicaPower.size(); ++r) {
         SimulationResult rr = result;
-        rr.energyPj =
-            replicaPower[r].totalEnergyPj() - replicaEnergy0[r];
+        rr.energyPj = energy(first_replica + r);
         rr.avgPowerW = rr.energyPj / ticks_d * 1e-3;
         replicaResults_.push_back(std::move(rr));
-    }
-
-    if (traceSink) {
-        std::ofstream os(options.trace.path,
-                         std::ios::out | std::ios::trunc);
-        if (!os) {
-            panic("cannot open trace output file: " +
-                  options.trace.path);
-        }
-        traceSink->writeChromeJson(os, start, now);
-        os.flush();
-        if (!os) {
-            panic("error writing trace output file: " +
-                  options.trace.path);
-        }
     }
     return result;
 }

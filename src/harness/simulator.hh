@@ -39,7 +39,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -306,10 +305,25 @@ class Simulator
         std::unique_ptr<Core> cpu;
     };
 
+    /** run()'s measured-window state; defined in simulator.cc. */
+    struct MeasuredWindow;
+
     void functionalWarmup();
     WorkloadProfile coreProfile(std::uint32_t c) const;
     /** Build replica state + fanout wiring; runs once, pre-warmup. */
     void materializeReplicas();
+    template <typename Visit>
+    void visitWarmState(Visit &&visit) const;
+    void regSingleCoreStats(StatRegistry &reg, const PowerModel &power) const;
+    /** Every model a run charges: each core's, the separate uncore
+     *  model if any, then the lockstep replicas. */
+    std::vector<const PowerModel *> powerModels() const;
+
+    // The measured loop's steps (DESIGN.md §5d).
+    Tick planIdleJump(MeasuredWindow &w) const;
+    void commitIdleJump(MeasuredWindow &w, Tick jump);
+    void stepTick(MeasuredWindow &w);
+    SimulationResult collectResult(const MeasuredWindow &w, double wall_s);
 
     SimulationOptions options;
     StatRegistry registry;
@@ -318,7 +332,6 @@ class Simulator
     /** Separate shared-structure model when cores > 1 (otherwise the
      *  uncore charges land on core 0's model, the original layout). */
     std::unique_ptr<PowerModel> uncorePower_;
-    PowerModel *uncorePower = nullptr;
     std::unique_ptr<MemoryHierarchy> hierarchy;
     std::unique_ptr<TimekeepingPrefetcher> tk;
     std::unique_ptr<StridePrefetcher> stride;

@@ -32,6 +32,29 @@ IntervalStatsSampler::IntervalStatsSampler(
     powerId = sink.internString("interval.powerW");
 }
 
+std::unique_ptr<IntervalStatsSampler>
+IntervalStatsSampler::forRun(TraceSink &sink, const StatRegistry &registry,
+                             const TraceConfig &config, std::uint32_t cores,
+                             Tick start, std::function<double()> energy_probe)
+{
+    if (config.intervalTicks == 0 || !sink.wants(TraceCategory::Interval))
+        return nullptr;
+    std::vector<std::string> scalars;
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        const std::string prefix =
+            cores == 1 ? "" : "core" + std::to_string(c) + ".";
+        scalars.push_back(prefix + "cpu.committed");
+        scalars.push_back(prefix + "cpu.issued");
+    }
+    scalars.push_back("mem.demandL2Misses");
+    scalars.insert(scalars.end(), config.intervalScalars.begin(),
+                   config.intervalScalars.end());
+    auto sampler = std::make_unique<IntervalStatsSampler>(
+        sink, registry, config.intervalTicks, scalars, start);
+    sampler->setEnergyProbe(std::move(energy_probe));
+    return sampler;
+}
+
 void
 IntervalStatsSampler::setEnergyProbe(std::function<double()> probe)
 {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,18 @@ class IntervalStatsSampler
                          Tick interval_ticks,
                          const std::vector<std::string> &scalars,
                          Tick start);
+
+    /**
+     * The sampler a traced `cores`-core run asks for, or nullptr when
+     * `config` sets no epoch or masks the Interval category. It
+     * samples each core's `cpu.committed` and `cpu.issued` (prefixed
+     * `coreN.` when cores > 1), `mem.demandL2Misses`, then
+     * config.intervalScalars, and installs `energy_probe`.
+     */
+    static std::unique_ptr<IntervalStatsSampler>
+    forRun(TraceSink &sink, const StatRegistry &registry,
+           const TraceConfig &config, std::uint32_t cores, Tick start,
+           std::function<double()> energy_probe);
 
     /**
      * Install the cumulative-energy probe (pJ) for the interval.powerW

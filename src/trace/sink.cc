@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <fstream>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -432,6 +433,19 @@ TraceSink::writeChromeJson(std::ostream &os, Tick origin,
     }
 
     os << "\n]}\n";
+}
+
+void
+TraceSink::writeChromeJsonFile(const std::string &path, Tick origin,
+                               Tick end_tick) const
+{
+    std::ofstream os(path, std::ios::out | std::ios::trunc);
+    if (!os)
+        fatal("cannot open trace output file: " + path);
+    writeChromeJson(os, origin, end_tick);
+    os.flush();
+    if (!os)
+        fatal("error writing trace output file: " + path);
 }
 
 } // namespace vsv

@@ -173,6 +173,11 @@ class TraceSink
     void writeChromeJson(std::ostream &os, Tick origin,
                          Tick end_tick) const;
 
+    /** writeChromeJson() into the file at `path` (truncated); an
+     *  unopenable or unwritable file is fatal. */
+    void writeChromeJsonFile(const std::string &path, Tick origin,
+                             Tick end_tick) const;
+
     /**
      * Parse a comma-separated category list ("mode,fsm,power").
      * Empty or "all" selects every category; unknown names are fatal.
